@@ -9,14 +9,15 @@
 #include <cstdio>
 
 #include "core/constrained_mine.h"
-#include "core/recycler.h"
 #include "data/quest_gen.h"
+#include "fpm/constraints.h"
 #include "fpm/miner.h"
+#include "serve/mining_service.h"
 #include "util/timer.h"
 
 int main() {
   using gogreen::Timer;
-  using gogreen::core::ConstraintSet;
+  using gogreen::fpm::ConstraintSet;
 
   // A basket dataset over 2000 products with synthetic prices: product id
   // modulo 50, in dollars (cheap staples get low ids in this fiction).
@@ -42,8 +43,8 @@ int main() {
 
   // Query: bundles under a $60 total price, at most 4 products.
   ConstraintSet constraints(minsup);
-  constraints.Add(gogreen::core::MakeMaxSum(prices, 60.0));
-  constraints.Add(gogreen::core::MakeMaxLength(4));
+  constraints.Add(gogreen::fpm::MakeMaxSum(prices, 60.0));
+  constraints.Add(gogreen::fpm::MakeMaxLength(4));
   std::printf("query: %s\n\n", constraints.Describe().c_str());
 
   // Path 1: complete mining + filter.
@@ -76,23 +77,26 @@ int main() {
   }
 
   // The iterative step: the analyst relaxes the budget and the support.
-  // The session recycles the cached (support-complete) patterns.
-  gogreen::core::RecyclingSession session(db);
+  // The service recycles the stored (support-complete) patterns.
+  gogreen::serve::MiningService service(db, "baskets");
   ConstraintSet round1(minsup);
-  round1.Add(gogreen::core::MakeMaxSum(prices, 60.0));
-  if (!session.Mine(round1).ok()) return 1;
+  round1.Add(gogreen::fpm::MakeMaxSum(prices, 60.0));
+  gogreen::fpm::MineRequest request1;
+  request1.constraints = &round1;
+  if (!service.Mine(request1).ok()) return 1;
 
   ConstraintSet round2(
       gogreen::fpm::AbsoluteSupport(0.004, db.NumTransactions()));
-  round2.Add(gogreen::core::MakeMaxSum(prices, 120.0));
-  Timer t3;
-  auto relaxed = session.Mine(round2);
+  round2.Add(gogreen::fpm::MakeMaxSum(prices, 120.0));
+  gogreen::fpm::MineRequest request2;
+  request2.constraints = &round2;
+  gogreen::serve::ServeStats stats;
+  auto relaxed = service.Mine(request2, &stats);
   if (!relaxed.ok()) return 1;
-  std::printf("\nrelaxed budget+support via session: %zu patterns in %.3fs "
-              "(path=%s, delta=%s)\n",
-              relaxed->size(), t3.ElapsedSeconds(),
-              gogreen::core::MiningPathName(session.last_stats().path),
-              gogreen::core::ConstraintDeltaName(
-                  session.last_stats().delta));
+  std::printf("\nrelaxed budget+support via the service: %zu patterns in "
+              "%.3fs (route=%s, delta=%s)\n",
+              relaxed->patterns.size(), stats.seconds,
+              gogreen::core::SeedRouteName(stats.route),
+              gogreen::fpm::ConstraintDeltaName(round2.CompareTo(round1)));
   return 0;
 }

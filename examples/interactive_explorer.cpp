@@ -2,37 +2,53 @@
 // case): an analyst working over a synthetic market-basket dataset keeps
 // refining the mining constraints — lowering the support when results are
 // too sparse, raising it or adding constraints when they are too noisy.
-// The RecyclingSession transparently picks the cheapest correct path per
-// round (filter / recycle / initial) and this example prints what it did.
+// The MiningService transparently picks the cheapest correct route per
+// round (scratch / recycle / filter-down / exact) and this example prints
+// what it did.
 //
 // Build & run:  ./build/examples/interactive_explorer
 
 #include <cstdio>
 
-#include "core/recycler.h"
 #include "data/quest_gen.h"
+#include "fpm/constraints.h"
 #include "fpm/miner.h"
+#include "serve/mining_service.h"
 
 namespace {
 
-void Report(const char* request, const gogreen::core::RecyclingSession& s,
-            size_t returned) {
-  const auto& st = s.last_stats();
-  std::printf("%-44s -> %6zu patterns | path=%-8s mine=%.3fs", request,
-              returned, gogreen::core::MiningPathName(st.path),
-              st.mine_seconds);
-  if (st.path == gogreen::core::MiningPath::kRecycled) {
+using gogreen::serve::MiningService;
+using gogreen::serve::ServeStats;
+
+/// Runs one round on the service and prints the route it took. Returns
+/// false on a mining error.
+bool Round(MiningService& service, const char* what,
+           const gogreen::fpm::MineRequest& request,
+           gogreen::fpm::PatternSet* out = nullptr) {
+  ServeStats st;
+  auto result = service.Mine(request, &st);
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+    return false;
+  }
+  std::printf("%-44s -> %6zu patterns | route=%-11s %.3fs", what,
+              result->patterns.size(), gogreen::core::SeedRouteName(st.route),
+              st.seconds);
+  if (st.route == gogreen::core::SeedRoute::kRecycle) {
     std::printf(" compress=%.3fs ratio=%.2f", st.compress_seconds,
                 st.compression_ratio);
   }
   std::printf("\n");
+  if (out != nullptr) *out = std::move(result->patterns);
+  return true;
 }
 
 }  // namespace
 
 int main() {
-  using gogreen::core::ConstraintSet;
-  using gogreen::core::RecyclingSession;
+  using gogreen::fpm::AbsoluteSupport;
+  using gogreen::fpm::ConstraintSet;
+  using gogreen::fpm::MineRequest;
 
   // A synthetic "retail basket" dataset: 100k baskets over 5k products.
   gogreen::data::QuestConfig cfg;
@@ -53,42 +69,49 @@ int main() {
   std::printf("dataset: %zu baskets, avg %.1f items\n\n",
               db->NumTransactions(), db->AvgLength());
 
-  RecyclingSession session(std::move(db).value());
-  const size_t n = session.db().NumTransactions();
+  MiningService service(std::move(db).value(), "baskets");
+  const size_t n = service.db().NumTransactions();
 
   // Round 1: a first look at 5% support.
-  auto r1 = session.MineFraction(0.05);
-  if (!r1.ok()) return 1;
-  Report("mine at support 5%", session, r1->size());
+  if (!Round(service, "mine at support 5%",
+             MineRequest::At(AbsoluteSupport(0.05, n)))) {
+    return 1;
+  }
 
   // Round 2: too few results -> relax to 2%. (Recycled!)
-  auto r2 = session.MineFraction(0.02);
-  if (!r2.ok()) return 1;
-  Report("relax support to 2%", session, r2->size());
+  if (!Round(service, "relax support to 2%",
+             MineRequest::At(AbsoluteSupport(0.02, n)))) {
+    return 1;
+  }
 
-  // Round 3: too many -> tighten back to 3%. (Pure cache filter.)
-  auto r3 = session.MineFraction(0.03);
-  if (!r3.ok()) return 1;
-  Report("tighten support to 3%", session, r3->size());
+  // Round 3: too many -> tighten back to 3%. (Filtered from the 2% set.)
+  if (!Round(service, "tighten support to 3%",
+             MineRequest::At(AbsoluteSupport(0.03, n)))) {
+    return 1;
+  }
 
-  // Round 4: only long associations, at least 3 items. (Filter again.)
-  ConstraintSet c4(gogreen::fpm::AbsoluteSupport(0.03, n));
-  c4.Add(gogreen::core::MakeMinLength(3));
-  auto r4 = session.Mine(c4);
-  if (!r4.ok()) return 1;
-  Report("add constraint |X| >= 3", session, r4->size());
+  // Round 4: only long associations, at least 3 items. (The 3% set is
+  // stored: an exact hit, then a filter.)
+  ConstraintSet c4(AbsoluteSupport(0.03, n));
+  c4.Add(gogreen::fpm::MakeMinLength(3));
+  MineRequest r4;
+  r4.constraints = &c4;
+  if (!Round(service, "add constraint |X| >= 3", r4)) return 1;
 
   // Round 5: relax support once more with the constraint kept. (Recycled.)
-  ConstraintSet c5(gogreen::fpm::AbsoluteSupport(0.01, n));
-  c5.Add(gogreen::core::MakeMinLength(3));
-  auto r5 = session.Mine(c5);
-  if (!r5.ok()) return 1;
-  Report("relax support to 1%, keep |X| >= 3", session, r5->size());
+  ConstraintSet c5(AbsoluteSupport(0.01, n));
+  c5.Add(gogreen::fpm::MakeMinLength(3));
+  MineRequest r5;
+  r5.constraints = &c5;
+  gogreen::fpm::PatternSet final_set;
+  if (!Round(service, "relax support to 1%, keep |X| >= 3", r5, &final_set)) {
+    return 1;
+  }
 
   // Show a few of the final long patterns.
   std::printf("\nsample results:\n");
   size_t shown = 0;
-  for (const auto& p : *r5) {
+  for (const auto& p : final_set) {
     if (p.size() >= 4 && shown < 5) {
       std::printf("  %s\n", p.ToString().c_str());
       ++shown;

@@ -1,60 +1,51 @@
 // Multi-user scenario (Section 2: "when there are many users in a data
 // mining system, the frequent patterns discovered by one user also provide
-// opportunity for the others to recycle"). A tiny shared pattern store keeps
-// the best (lowest-threshold) complete set per dataset; new sessions seed
-// their cache from it and immediately enjoy the recycled path.
+// opportunity for the others to recycle"). Three analysts query one
+// MiningService; its shared pattern store keeps every answer, so each
+// later user starts from the best set an earlier one left behind.
 //
 // Build & run:  ./build/examples/multiuser_cache
 
 #include <cstdio>
-#include <map>
+#include <optional>
 #include <string>
 
-#include "core/recycler.h"
 #include "data/quest_gen.h"
 #include "fpm/miner.h"
+#include "serve/mining_service.h"
 #include "util/timer.h"
 
 namespace {
 
-/// The shared store: dataset key -> (min support, complete pattern set).
-/// A production system would persist this; a map suffices to demonstrate
-/// the sharing protocol.
-class SharedPatternStore {
- public:
-  void Publish(const std::string& key, uint64_t min_support,
-               gogreen::fpm::PatternSet fp) {
-    auto it = entries_.find(key);
-    // Keep the most informative (lowest-threshold) set.
-    if (it == entries_.end() || min_support < it->second.min_support) {
-      entries_[key] = {min_support, std::move(fp)};
-    }
-  }
+using gogreen::serve::MiningService;
+using gogreen::serve::ServeStats;
 
-  /// Seeds `session` from the store; returns true if something was found.
-  bool Seed(const std::string& key,
-            gogreen::core::RecyclingSession* session) const {
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) return false;
-    session->SeedCache(it->second.fp, it->second.min_support);
-    return true;
+/// One user's query: prints the route the service took and returns the
+/// number of patterns (nullopt on error) and the time taken.
+std::optional<size_t> Query(MiningService& service, const char* user,
+                            double fraction, double* seconds) {
+  gogreen::fpm::MineRequest request = gogreen::fpm::MineRequest::At(
+      gogreen::fpm::AbsoluteSupport(fraction, service.db().NumTransactions()));
+  request.tenant = user;
+  ServeStats st;
+  gogreen::Timer timer;
+  auto result = service.Mine(request, &st);
+  *seconds = timer.ElapsedSeconds();
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+    return std::nullopt;
   }
-
- private:
-  struct Entry {
-    uint64_t min_support;
-    gogreen::fpm::PatternSet fp;
-  };
-  std::map<std::string, Entry> entries_;
-};
+  std::printf("%-7s: support %.1f%% -> %6zu patterns in %.3fs (route=%s, "
+              "seed=%llu)\n",
+              user, fraction * 100, result->patterns.size(), *seconds,
+              gogreen::core::SeedRouteName(st.route),
+              static_cast<unsigned long long>(st.seed_support));
+  return result->patterns.size();
+}
 
 }  // namespace
 
 int main() {
-  using gogreen::Timer;
-  using gogreen::core::MiningPathName;
-  using gogreen::core::RecyclingSession;
-
   gogreen::data::QuestConfig cfg;
   cfg.num_transactions = 150000;
   cfg.avg_transaction_len = 12.0;
@@ -70,54 +61,33 @@ int main() {
   const gogreen::fpm::TransactionDb db = std::move(db_result).value();
   const std::string kDatasetKey = "sales-2026-q2";
 
-  SharedPatternStore store;
+  MiningService service(db, kDatasetKey);
+  double secs = 0;
 
   // --- User A explores first (pays the full initial cost). ---
-  RecyclingSession alice(db);
-  Timer ta;
-  auto ra = alice.MineFraction(0.03);
-  if (!ra.ok()) return 1;
-  std::printf("alice  : support 3.0%% -> %6zu patterns in %.3fs (path=%s)\n",
-              ra->size(), ta.ElapsedSeconds(),
-              MiningPathName(alice.last_stats().path));
-  store.Publish(kDatasetKey, alice.cached_min_support(), *ra);
+  if (!Query(service, "alice", 0.03, &secs)) return 1;
 
-  // --- User B arrives later and wants a deeper cut. ---
-  RecyclingSession bob(db);
-  const bool seeded = store.Seed(kDatasetKey, &bob);
-  Timer tb;
-  auto rb = bob.MineFraction(0.01);
-  const double bob_secs = tb.ElapsedSeconds();
-  if (!rb.ok()) return 1;
-  std::printf("bob    : support 1.0%% -> %6zu patterns in %.3fs (path=%s, "
-              "store hit=%s)\n",
-              rb->size(), bob_secs,
-              MiningPathName(bob.last_stats().path), seeded ? "yes" : "no");
-  store.Publish(kDatasetKey, bob.cached_min_support(), *rb);
+  // --- User B arrives later and wants a deeper cut: recycles A's set. ---
+  double bob_secs = 0;
+  const std::optional<size_t> bob = Query(service, "bob", 0.01, &bob_secs);
+  if (!bob) return 1;
 
-  // --- User C benefits from Bob's deeper run: a pure cache filter. ---
-  RecyclingSession carol(db);
-  store.Seed(kDatasetKey, &carol);
-  Timer tc;
-  auto rc = carol.MineFraction(0.02);
-  if (!rc.ok()) return 1;
-  std::printf("carol  : support 2.0%% -> %6zu patterns in %.3fs (path=%s)\n",
-              rc->size(), tc.ElapsedSeconds(),
-              MiningPathName(carol.last_stats().path));
+  // --- User C benefits from B's deeper run: a pure filter-down. ---
+  if (!Query(service, "carol", 0.02, &secs)) return 1;
 
-  // --- Control: what user B would have paid without the store. ---
-  gogreen::core::RecyclerOptions scratch;
-  scratch.enable_recycling = false;
-  RecyclingSession lonely(db, scratch);
-  Timer tl;
-  auto rl = lonely.MineFraction(0.01);
-  if (!rl.ok()) return 1;
-  const double lonely_secs = tl.ElapsedSeconds();
-  std::printf("control: support 1.0%% without sharing -> %.3fs "
-              "(bob saved %.1fx)\n",
-              lonely_secs, bob_secs > 0 ? lonely_secs / bob_secs : 0.0);
+  // --- Control: what user B would have paid without sharing. A store too
+  // small to keep any answer leaves every query to mine from scratch. ---
+  gogreen::serve::ServiceOptions no_sharing;
+  no_sharing.store.byte_budget = 1024;
+  MiningService lonely(db, kDatasetKey, no_sharing);
+  double lonely_secs = 0;
+  const std::optional<size_t> control =
+      Query(lonely, "control", 0.01, &lonely_secs);
+  if (!control) return 1;
+  std::printf("bob saved %.1fx over mining without sharing\n",
+              bob_secs > 0 ? lonely_secs / bob_secs : 0.0);
 
-  if (rb->size() != rl->size()) {
+  if (*bob != *control) {
     std::fprintf(stderr, "MISMATCH between shared and direct results\n");
     return 2;
   }

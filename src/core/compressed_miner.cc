@@ -1,41 +1,19 @@
 #include "core/compressed_miner.h"
 
-#include <utility>
-
 #include "core/recycle_fp.h"
 #include "core/recycle_hmine.h"
 #include "core/recycle_tp.h"
 #include "core/rp_mine.h"
-#include "obs/trace.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace gogreen::core {
 
 Result<fpm::MineResult> CompressedMiner::Mine(const CompressedDb& cdb,
                                               const fpm::MineRequest& request) {
-  GOGREEN_ASSIGN_OR_RETURN(const uint64_t minsup,
-                           request.EffectiveMinSupport());
-  GOGREEN_TRACE_SPAN("run.governor");
-  const ThreadPool::ScopedThreads scoped_threads(request.threads);
-  RunContext* ctx = request.run_context;
-  run_ctx_ = ctx;  // Bound for this call only; the hook below reads it.
-  Result<fpm::PatternSet> mined = MineCompressed(cdb, minsup);
-  run_ctx_ = nullptr;
-  GOGREEN_ASSIGN_OR_RETURN(
-      fpm::MineOutcome outcome,
-      fpm::FinishGovernedOutcome(std::move(mined), minsup, ctx));
-  fpm::MineResult result;
-  result.patterns = std::move(outcome.patterns);
-  result.partial = outcome.partial;
-  result.frontier_support = outcome.frontier_support;
-  result.stop_status = std::move(outcome.stop_status);
-  result.stats = stats_;
-  if (request.constraints != nullptr &&
-      request.constraints->NumConstraints() > 0) {
-    result.patterns = request.constraints->Filter(result.patterns);
-  }
-  return result;
+  return fpm::RunMineRequest(request, &run_ctx_, stats_,
+                             [&](uint64_t minsup) {
+                               return MineCompressed(cdb, minsup);
+                             });
 }
 
 std::unique_ptr<CompressedMiner> CreateCompressedMiner(RecycleAlgo algo) {

@@ -1,13 +1,11 @@
 #include "core/incremental.h"
 
-#include "core/compressed_miner.h"
-#include "core/compressor.h"
-#include "util/timer.h"
+#include <utility>
 
 namespace gogreen::core {
 
 IncrementalSession::IncrementalSession(fpm::TransactionDb db,
-                                       RecyclerOptions options)
+                                       IncrementalOptions options)
     : db_(std::move(db)), options_(options) {}
 
 void IncrementalSession::AddTransaction(std::vector<fpm::ItemId> items) {
@@ -41,40 +39,27 @@ Result<fpm::PatternSet> IncrementalSession::Mine(uint64_t min_support) {
   if (min_support == 0) {
     return Status::InvalidArgument("min_support must be >= 1");
   }
-  last_stats_ = SessionStats();
 
   fpm::PatternSet fp;
-  if (!has_cache_ || !options_.enable_recycling || cached_fp_.empty()) {
-    Timer timer;
+  if (!has_cache_ || cached_fp_.empty()) {
     auto miner = fpm::CreateMiner(options_.base_miner);
     GOGREEN_ASSIGN_OR_RETURN(fp, miner->Mine(db_, min_support));
-    last_stats_.mine_seconds = timer.ElapsedSeconds();
-    last_stats_.path =
-        has_cache_ ? MiningPath::kScratch : MiningPath::kInitial;
+    last_route_ = SeedRoute::kNone;
   } else {
     // Compress the *current* database with the previous round's patterns.
     // Their stale supports only influence the utility ranking; the mined
     // supports come from the actual data.
-    Timer timer;
-    CompressionStats cstats;
     GOGREEN_ASSIGN_OR_RETURN(
         const CompressedDb cdb,
         CompressDatabase(db_, cached_fp_,
-                         {options_.strategy, options_.matcher}, &cstats));
-    last_stats_.compress_seconds = timer.ElapsedSeconds();
-    last_stats_.compression_ratio = cstats.Ratio();
-
-    timer.Restart();
+                         {options_.strategy, options_.matcher}));
     auto miner = CreateCompressedMiner(options_.algo);
     GOGREEN_ASSIGN_OR_RETURN(fp, miner->MineCompressed(cdb, min_support));
-    last_stats_.mine_seconds = timer.ElapsedSeconds();
-    last_stats_.path = MiningPath::kRecycled;
+    last_route_ = SeedRoute::kRecycle;
   }
 
   cached_fp_ = fp;
   has_cache_ = true;
-  last_stats_.patterns_returned = fp.size();
-  last_stats_.cached_patterns = cached_fp_.size();
   return fp;
 }
 

@@ -12,19 +12,34 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
-#include "core/recycler.h"
+#include "core/compressed_miner.h"
+#include "core/compressor.h"
+#include "core/seed_selection.h"
+#include "fpm/miner.h"
 #include "fpm/pattern_set.h"
 #include "fpm/transaction_db.h"
 #include "util/status.h"
 
 namespace gogreen::core {
 
+/// Algorithm choices of an IncrementalSession.
+struct IncrementalOptions {
+  /// Compression strategy for recycled rounds (MCP wins in the paper).
+  CompressionStrategy strategy = CompressionStrategy::kMcp;
+  MatcherKind matcher = MatcherKind::kAuto;
+  /// Adapted algorithm used on the compressed database.
+  RecycleAlgo algo = RecycleAlgo::kHMine;
+  /// Algorithm for the first (non-recycled) round.
+  fpm::MinerKind base_miner = fpm::MinerKind::kHMine;
+};
+
 /// A mining session over a database that changes between rounds.
 class IncrementalSession {
  public:
   explicit IncrementalSession(fpm::TransactionDb db,
-                              RecyclerOptions options = {});
+                              IncrementalOptions options = {});
 
   /// Appends one transaction.
   void AddTransaction(std::vector<fpm::ItemId> items);
@@ -45,15 +60,18 @@ class IncrementalSession {
   Result<fpm::PatternSet> Mine(uint64_t min_support);
 
   const fpm::TransactionDb& db() const { return db_; }
-  const SessionStats& last_stats() const { return last_stats_; }
+  /// How the last Mine call ran: kRecycle when it compressed the database
+  /// with the previous round's patterns, kNone when it mined the raw
+  /// database (first round, or nothing to recycle).
+  SeedRoute last_route() const { return last_route_; }
   bool has_cache() const { return has_cache_; }
 
  private:
   fpm::TransactionDb db_;
-  RecyclerOptions options_;
+  IncrementalOptions options_;
   fpm::PatternSet cached_fp_;
   bool has_cache_ = false;
-  SessionStats last_stats_;
+  SeedRoute last_route_ = SeedRoute::kNone;
 };
 
 }  // namespace gogreen::core

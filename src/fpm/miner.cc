@@ -51,35 +51,35 @@ void RecordGovernorOutcome(RunContext* ctx, bool partial) {
   bytes_peak->UpdateMax(static_cast<int64_t>(ctx->bytes_peak()));
 }
 
-}  // namespace
-
-Result<MineOutcome> FinishGovernedOutcome(Result<PatternSet> result,
-                                          uint64_t min_support,
-                                          RunContext* ctx) {
-  if (!result.ok()) return result.status();
-  MineOutcome outcome;
-  outcome.patterns = std::move(result).value();
-  outcome.frontier_support = min_support;
+/// Turns a raw mined set into a MineResult using the context's
+/// incompleteness bookkeeping (filtering the set to the frontier support
+/// when partial) and flushes the `run.*` metrics. `ctx` may be null
+/// (never-partial passthrough).
+MineResult FinishGovernedOutcome(PatternSet patterns, uint64_t min_support,
+                                 RunContext* ctx) {
+  MineResult result;
+  result.patterns = std::move(patterns);
+  result.frontier_support = min_support;
   if (ctx != nullptr && ctx->incomplete()) {
-    outcome.partial = true;
-    outcome.stop_status = ctx->StopStatus();
-    outcome.frontier_support =
-        std::max(min_support, ctx->frontier_support());
+    result.partial = true;
+    result.stop_status = ctx->StopStatus();
+    result.frontier_support = std::max(min_support, ctx->frontier_support());
     // Subtrees below the frontier may have been cut mid-emission; dropping
     // everything under the frontier restores exactness (the completed
     // most-frequent-first subtrees contain every pattern at or above it).
-    outcome.patterns =
-        outcome.patterns.FilterBySupport(outcome.frontier_support);
+    result.patterns = result.patterns.FilterBySupport(result.frontier_support);
   }
-  RecordGovernorOutcome(ctx, outcome.partial);
+  RecordGovernorOutcome(ctx, result.partial);
   // Every cooperatively charged byte must be released by the time a
   // governed run reaches this epilogue (leaked ScopedBytes would starve
   // later runs sharing the budget).
   if (ctx != nullptr) {
     GOGREEN_VALIDATE_OR_DIE(check::ValidateRunContext(*ctx));
   }
-  return outcome;
+  return result;
 }
+
+}  // namespace
 
 Result<uint64_t> MineRequest::EffectiveMinSupport() const {
   uint64_t support = min_support;
@@ -93,30 +93,34 @@ Result<uint64_t> MineRequest::EffectiveMinSupport() const {
   return support;
 }
 
-Result<MineResult> FrequentPatternMiner::Mine(const TransactionDb& db,
-                                              const MineRequest& request) {
+Result<MineResult> RunMineRequest(
+    const MineRequest& request, RunContext** bound_ctx,
+    const MiningStats& stats,
+    const std::function<Result<PatternSet>(uint64_t min_support)>& mine) {
   GOGREEN_ASSIGN_OR_RETURN(const uint64_t minsup,
                            request.EffectiveMinSupport());
   GOGREEN_TRACE_SPAN("run.governor");
   const ThreadPool::ScopedThreads scoped_threads(request.threads);
   RunContext* ctx = request.run_context;
-  run_ctx_ = ctx;  // Bound for this call only; the hook below reads it.
-  Result<PatternSet> mined = Mine(db, minsup);
-  run_ctx_ = nullptr;
-  GOGREEN_ASSIGN_OR_RETURN(
-      MineOutcome outcome,
-      FinishGovernedOutcome(std::move(mined), minsup, ctx));
-  MineResult result;
-  result.patterns = std::move(outcome.patterns);
-  result.partial = outcome.partial;
-  result.frontier_support = outcome.frontier_support;
-  result.stop_status = std::move(outcome.stop_status);
-  result.stats = stats_;
+  *bound_ctx = ctx;  // Bound for this call only; `mine` reads it.
+  Result<PatternSet> mined = mine(minsup);
+  *bound_ctx = nullptr;
+  GOGREEN_RETURN_NOT_OK(mined.status());
+  MineResult result =
+      FinishGovernedOutcome(std::move(mined).value(), minsup, ctx);
+  result.stats = stats;
   if (request.constraints != nullptr &&
       request.constraints->NumConstraints() > 0) {
     result.patterns = request.constraints->Filter(result.patterns);
   }
   return result;
+}
+
+Result<MineResult> FrequentPatternMiner::Mine(const TransactionDb& db,
+                                              const MineRequest& request) {
+  return RunMineRequest(request, &run_ctx_, stats_, [&](uint64_t minsup) {
+    return Mine(db, minsup);
+  });
 }
 
 void RecordMiningStats(const MiningStats& stats) {
@@ -181,6 +185,19 @@ uint64_t AbsoluteSupport(double fraction, size_t num_transactions) {
   uint64_t abs = static_cast<uint64_t>(std::ceil(raw - 1e-9));
   if (abs == 0) abs = 1;
   return abs;
+}
+
+Result<uint64_t> ResolveSupport(double support, size_t num_transactions) {
+  // 2^64 is exactly representable; every double below it converts to
+  // uint64_t without undefined behaviour. NaN fails every comparison.
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  if (!(support > 0.0 && support < kTwoTo64)) {
+    return Status::InvalidArgument(
+        "expected a positive support: a fraction below 1 or a count below "
+        "2^64");
+  }
+  if (support < 1.0) return AbsoluteSupport(support, num_transactions);
+  return static_cast<uint64_t>(support);
 }
 
 }  // namespace gogreen::fpm

@@ -4,6 +4,7 @@
 #define GOGREEN_FPM_MINER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -34,46 +35,18 @@ struct MiningStats {
 /// registry view stays consistent with the `stats()` accessors.
 void RecordMiningStats(const MiningStats& stats);
 
-/// Outcome of a governed mining run. A partial outcome is still exact: when
-/// a deadline/budget/cancel stops the run early, the governed drivers
-/// process first-level subtrees most-frequent-first, so the emitted set
-/// filtered to `frontier_support` is precisely the complete frequent set at
-/// that (higher) support — the caller can keep it, or recycle it and rerun
-/// at a tightened threshold, which is the paper's own loop.
-struct [[nodiscard]] MineOutcome {
-  PatternSet patterns;
-  /// True when the run was stopped before covering the requested support.
-  bool partial = false;
-  /// The support level the patterns are complete for. Equals the requested
-  /// min_support when the run completed; higher when partial.
-  uint64_t frontier_support = 0;
-  /// OK when complete; DeadlineExceeded / ResourceExhausted / Cancelled
-  /// when partial.
-  Status stop_status;
-};
-
-/// Shared epilogue of the governed entry points: turns a raw mined set into
-/// a MineOutcome using the context's incompleteness bookkeeping (filtering
-/// the set to the frontier support when partial) and flushes the `run.*`
-/// metrics. `ctx` may be null (never-partial passthrough).
-Result<MineOutcome> FinishGovernedOutcome(Result<PatternSet> result,
-                                          uint64_t min_support,
-                                          RunContext* ctx);
-
 /// One mining query, in full. This is the single entry shape shared by
-/// FrequentPatternMiner, core::CompressedMiner, core::RecyclingSession,
-/// serve::MiningService, and the wire protocol's serialized form
-/// (net/wire.h); the deprecated governed/attach-detach wrappers it
-/// subsumed are gone. All referenced objects are
-/// borrowed: they must outlive the call, and the request itself is a cheap
-/// value (copying it never copies a constraint set or a context).
+/// FrequentPatternMiner, core::CompressedMiner, serve::MiningService, and
+/// the wire protocol's serialized form (net/wire.h). All referenced objects
+/// are borrowed: they must outlive the call, and the request itself is a
+/// cheap value (copying it never copies a constraint set or a context).
 struct MineRequest {
   /// Absolute support threshold (>= 1). When `constraints` also carries a
   /// minimum support, the effective threshold is the maximum of the two —
   /// either field may be left 0 if the other supplies it.
   uint64_t min_support = 0;
   /// Optional non-support constraints, applied as a final filter (the
-  /// mined set is support-complete; see core/recycler.h). Not owned.
+  /// mined set is support-complete; see serve/mining_service.h). Not owned.
   const ConstraintSet* constraints = nullptr;
   /// Optional run governor (deadline / memory budget / cancel). Not owned.
   RunContext* run_context = nullptr;
@@ -103,9 +76,14 @@ struct MineRequest {
   Result<uint64_t> EffectiveMinSupport() const;
 };
 
-/// Everything a mining call produces: the pattern set, the governed outcome
-/// (partial flag + exact frontier, as in MineOutcome), and the work
-/// counters of the run. The single result shape of the MineRequest API.
+/// Everything a mining call produces: the pattern set, the governed outcome,
+/// and the work counters of the run. The single result shape of the
+/// MineRequest API. A partial result is still exact: when a
+/// deadline/budget/cancel stops the run early, the governed drivers process
+/// first-level subtrees most-frequent-first, so the emitted set filtered to
+/// `frontier_support` is precisely the complete frequent set at that
+/// (higher) support — the caller can keep it, or recycle it and rerun at a
+/// relaxed threshold, which is the paper's own loop.
 struct [[nodiscard]] MineResult {
   PatternSet patterns;
   /// True when a governor stopped the run before covering the requested
@@ -121,6 +99,17 @@ struct [[nodiscard]] MineResult {
   /// Work counters of this run (same data as the miner's stats()).
   MiningStats stats;
 };
+
+/// The shared body of FrequentPatternMiner::Mine(db, request) and
+/// core::CompressedMiner::Mine(cdb, request): resolves the effective
+/// support, installs the request's thread override, binds the governor into
+/// `*bound_ctx` for the span of `mine(min_support)`, then finishes the
+/// governed outcome (frontier filter when partial, `run.*` metrics), copies
+/// `stats` (read after `mine` returns) and applies the constraint filter.
+Result<MineResult> RunMineRequest(
+    const MineRequest& request, RunContext** bound_ctx,
+    const MiningStats& stats,
+    const std::function<Result<PatternSet>(uint64_t min_support)>& mine);
 
 /// Interface implemented by every complete-set frequent-pattern miner.
 /// Implementations are stateful only through `stats()`, which reflects the
@@ -185,6 +174,12 @@ const char* MinerKindName(MinerKind kind);
 /// Converts a relative support fraction (0 < frac <= 1) to the absolute count
 /// used by the miners, rounding up and clamping to at least 1.
 uint64_t AbsoluteSupport(double fraction, size_t num_transactions);
+
+/// Resolves a user-supplied support (CLI flag, wire field): a value below 1
+/// is a fraction of `num_transactions` (AbsoluteSupport), any other value an
+/// absolute count, truncated. InvalidArgument for NaN, infinities, values
+/// <= 0, and counts that do not fit in 64 bits.
+Result<uint64_t> ResolveSupport(double support, size_t num_transactions);
 
 }  // namespace gogreen::fpm
 

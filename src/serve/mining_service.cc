@@ -213,17 +213,8 @@ Result<fpm::MineResult> MiningService::MineCoalesced(
     uint64_t min_support, const fpm::MineRequest& request,
     const std::string& fingerprint, RunContext* ctx, ServeStats* stats) {
   // Fast path: an exact cached answer needs no rendezvous.
-  {
-    GOGREEN_TRACE_SPAN("serve.lookup");
-    const StoreKey exact_key{dataset_id_, fingerprint, min_support};
-    if (auto cached = store_.Get(exact_key); cached != nullptr) {
-      fpm::MineResult result;
-      result.patterns = *cached;
-      result.frontier_support = min_support;
-      stats->route = core::SeedRoute::kExact;
-      stats->seed_support = min_support;
-      return result;
-    }
+  if (auto hit = LookupExact({dataset_id_, fingerprint, min_support}, stats)) {
+    return std::move(*hit);
   }
 
   // The rendezvous key classifies the governor from the *caller's* context
@@ -338,94 +329,89 @@ Result<fpm::MineResult> MiningService::MineCoalesced(
   }
 }
 
+std::optional<fpm::MineResult> MiningService::LookupExact(
+    const StoreKey& key, ServeStats* stats) {
+  GOGREEN_TRACE_SPAN("serve.lookup");
+  auto cached = store_.Get(key);
+  if (cached == nullptr) return std::nullopt;
+  fpm::MineResult result;
+  result.patterns = *cached;
+  result.frontier_support = key.min_support;
+  stats->route = core::SeedRoute::kExact;
+  stats->seed_support = key.min_support;
+  return result;
+}
+
+void MiningService::StorePut(const std::string& fingerprint,
+                             uint64_t min_support,
+                             const fpm::PatternSet& patterns) {
+  GOGREEN_TRACE_SPAN("serve.store_put");
+  store_.Put({dataset_id_, fingerprint, min_support}, patterns,
+             db_.NumTransactions());
+}
+
 Result<fpm::MineResult> MiningService::MineRouted(
     uint64_t min_support, const fpm::MineRequest& request,
     const std::string& fingerprint, RunContext* ctx, ServeStats* stats) {
   // Exact hit on the (possibly constrained) key: no mining, no filtering.
-  {
-    GOGREEN_TRACE_SPAN("serve.lookup");
-    const StoreKey exact_key{dataset_id_, fingerprint, min_support};
-    if (auto cached = store_.Get(exact_key); cached != nullptr) {
-      fpm::MineResult result;
-      result.patterns = *cached;
-      result.frontier_support = min_support;
-      stats->route = core::SeedRoute::kExact;
-      stats->seed_support = min_support;
-      return result;
-    }
+  if (auto hit = LookupExact({dataset_id_, fingerprint, min_support}, stats)) {
+    return std::move(*hit);
   }
 
   GOGREEN_ASSIGN_OR_RETURN(fpm::MineResult result,
                            MineSupportComplete(min_support, ctx, stats));
   if (request.constraints != nullptr &&
       request.constraints->NumConstraints() > 0) {
-    GOGREEN_TRACE_SPAN("serve.constrain");
-    result.patterns = request.constraints->Filter(result.patterns);
+    {
+      GOGREEN_TRACE_SPAN("serve.constrain");
+      result.patterns = request.constraints->Filter(result.patterns);
+    }
     // Cache the filtered set under its fingerprint for exact repeats; only
     // a complete-at-minsup set is a valid entry at this key.
-    if (!result.partial) {
-      store_.Put({dataset_id_, fingerprint, min_support}, result.patterns,
-                 db_.NumTransactions());
-    }
+    if (!result.partial) StorePut(fingerprint, min_support, result.patterns);
   }
   return result;
 }
 
 Result<fpm::MineResult> MiningService::MineSupportComplete(
     uint64_t min_support, RunContext* ctx, ServeStats* stats) {
-  const StoreKey key{dataset_id_, "", min_support};
-  {
-    GOGREEN_TRACE_SPAN("serve.lookup");
-    if (auto cached = store_.Get(key); cached != nullptr) {
-      fpm::MineResult result;
-      result.patterns = *cached;
-      result.frontier_support = min_support;
-      stats->route = core::SeedRoute::kExact;
-      stats->seed_support = min_support;
-      return result;
-    }
+  if (auto hit = LookupExact({dataset_id_, "", min_support}, stats)) {
+    return std::move(*hit);
   }
 
   const core::SeedChoice choice =
       core::SelectSeed(store_.Candidates(dataset_id_, ""), min_support);
-
-  if (choice.route == core::SeedRoute::kFilterDown) {
-    const StoreKey seed_key{dataset_id_, "", choice.min_support};
-    if (auto seed = store_.Get(seed_key); seed != nullptr) {
-      GOGREEN_TRACE_SPAN("serve.filter_down");
-      fpm::MineResult result;
-      result.patterns = seed->FilterBySupport(min_support);
-      result.frontier_support = min_support;
-      store_.Put(key, result.patterns, db_.NumTransactions());
-      stats->route = core::SeedRoute::kFilterDown;
-      stats->seed_support = choice.min_support;
-      return result;
+  const StoreKey seed_key{dataset_id_, "", choice.min_support};
+  Result<fpm::MineResult> mined = [&]() -> Result<fpm::MineResult> {
+    if (choice.route == core::SeedRoute::kFilterDown) {
+      if (auto seed = store_.Get(seed_key); seed != nullptr) {
+        GOGREEN_TRACE_SPAN("serve.filter_down");
+        fpm::MineResult result;
+        result.patterns = seed->FilterBySupport(min_support);
+        result.frontier_support = min_support;
+        stats->route = core::SeedRoute::kFilterDown;
+        stats->seed_support = choice.min_support;
+        return result;
+      }
+      // Evicted between Candidates() and Get(): fall through to scratch.
     }
-    // Evicted between Candidates() and Get(): fall through to scratch.
-  }
-
-  if (choice.route == core::SeedRoute::kRecycle) {
-    const StoreKey seed_key{dataset_id_, "", choice.min_support};
-    Result<fpm::MineResult> recycled =
-        MineRecycledFrom(seed_key, min_support, ctx, stats);
-    if (recycled.ok() || stats->route == core::SeedRoute::kRecycle) {
-      return recycled;
+    if (choice.route == core::SeedRoute::kRecycle) {
+      Result<fpm::MineResult> recycled =
+          MineRecycledFrom(seed_key, min_support, ctx, stats);
+      if (recycled.ok() || stats->route == core::SeedRoute::kRecycle) {
+        return recycled;
+      }
+      // Seed vanished under us: fall through to scratch.
     }
-    // Seed vanished under us: fall through to scratch.
-  }
-
-  GOGREEN_ASSIGN_OR_RETURN(fpm::MineResult result,
-                           MineScratch(min_support, ctx));
-  stats->route = core::SeedRoute::kNone;
-  stats->seed_support = 0;
+    stats->route = core::SeedRoute::kNone;
+    stats->seed_support = 0;
+    return MineScratch(min_support, ctx);
+  }();
+  GOGREEN_RETURN_NOT_OK(mined.status());
   // A governed early stop still yields the exact set at the frontier; that
   // is what gets cached (and what the next relaxation recycles).
-  {
-    GOGREEN_TRACE_SPAN("serve.store_put");
-    store_.Put({dataset_id_, "", result.frontier_support}, result.patterns,
-               db_.NumTransactions());
-  }
-  return result;
+  StorePut("", mined->frontier_support, mined->patterns);
+  return mined;
 }
 
 Result<fpm::MineResult> MiningService::MineRecycledFrom(
@@ -462,11 +448,7 @@ Result<fpm::MineResult> MiningService::MineRecycledFrom(
   auto miner = core::CreateCompressedMiner(options_.algo);
   fpm::MineRequest subrequest = fpm::MineRequest::At(min_support);
   subrequest.run_context = ctx;
-  GOGREEN_ASSIGN_OR_RETURN(fpm::MineResult result,
-                           miner->Mine(*cdb, subrequest));
-  store_.Put({dataset_id_, "", result.frontier_support}, result.patterns,
-             db_.NumTransactions());
-  return result;
+  return miner->Mine(*cdb, subrequest);
 }
 
 Result<fpm::MineResult> MiningService::MineScratch(uint64_t min_support,

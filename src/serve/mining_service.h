@@ -12,13 +12,16 @@
 //                       and mine the compressed image (Recycle-*).
 //   4. scratch        — nothing usable: mine the raw database.
 //
-// The seed among multiple cached sets is picked by core::SelectSeed — the
-// same policy the single-cache RecyclingSession uses. Every mined result is
-// written back to the store (at its frontier support when a governor stopped
-// the run early — a partial result is still exact at the frontier, so later
-// queries recycle it, the paper's own loop). Constrained queries are served
-// from support-complete sets and post-filtered; the filtered set is also
-// cached under its fingerprint for exact repeats.
+// The seed among multiple cached sets is picked by core::SelectSeed. Every
+// mined result is written back to the store (at its frontier support when a
+// governor stopped the run early — a partial result is still exact at the
+// frontier, so later queries recycle it, the paper's own loop). Constrained
+// queries are served from support-complete sets and post-filtered; the
+// filtered set is also cached under its fingerprint for exact repeats.
+//
+// This is the one recycling session: an interactive user, or several users
+// sharing results (Section 2), query one service; a store too small to hold
+// any answer makes it a no-recycling control.
 //
 // Thread-safe and single-flight (DESIGN.md §13): concurrent Mine() calls
 // share the sharded store, and identical in-flight requests — same
@@ -37,13 +40,16 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/recycler.h"
+#include "core/compressed_miner.h"
+#include "core/compressor.h"
 #include "core/seed_selection.h"
+#include "core/utility.h"
 #include "fpm/miner.h"
 #include "fpm/transaction_db.h"
 #include "serve/pattern_store.h"
@@ -54,9 +60,8 @@ namespace gogreen::serve {
 
 struct ServiceOptions {
   PatternStore::Options store;
-  /// Algorithm choices, shared with the session-level recycler: base miner
-  /// for scratch rounds, compression strategy/matcher, and the adapted
-  /// algorithm for compressed images.
+  /// Algorithm choices: base miner for scratch rounds, compression
+  /// strategy/matcher, and the adapted algorithm for compressed images.
   core::CompressionStrategy strategy = core::CompressionStrategy::kMcp;
   core::MatcherKind matcher = core::MatcherKind::kAuto;
   core::RecycleAlgo algo = core::RecycleAlgo::kHMine;
@@ -154,6 +159,15 @@ class MiningService {
                                      const fpm::MineRequest& request,
                                      const std::string& fingerprint,
                                      RunContext* ctx, ServeStats* stats);
+  /// The stored set at `key`, reported as an exact hit; nullopt on a miss.
+  /// Each lookup runs under its own serve.lookup span.
+  std::optional<fpm::MineResult> LookupExact(const StoreKey& key,
+                                             ServeStats* stats);
+  /// Writes a mined set back to the store at (`fingerprint`, `min_support`)
+  /// under the serve.store_put span, which callers open outside their route
+  /// span so the request's phases stay disjoint.
+  void StorePut(const std::string& fingerprint, uint64_t min_support,
+                const fpm::PatternSet& patterns);
   /// The support-complete set at `min_support` (fingerprint ""), via the
   /// cheapest route. `stats` accumulates route bookkeeping.
   Result<fpm::MineResult> MineSupportComplete(uint64_t min_support,

@@ -105,6 +105,14 @@ if "$BIN" mine -i "$DIR/data.dat" -s -0.5 >/dev/null 2>"$DIR/err"; then
 fi
 grep -q "positive support" "$DIR/err" || fail "negative -s: wrong error"
 
+# NaN, infinities and counts beyond 64 bits are rejected, not cast
+for bad in nan inf 1e30; do
+  if "$BIN" mine -i "$DIR/data.dat" -s "$bad" >/dev/null 2>"$DIR/err"; then
+    fail "-s $bad accepted"
+  fi
+  grep -q "InvalidArgument" "$DIR/err" || fail "-s $bad: wrong error"
+done
+
 # session mode: a scripted relax-support sweep must take every route through
 # the pattern store — scratch, recycle, exact hit, filter-down — and say so
 cat > "$DIR/session.txt" <<'EOF'

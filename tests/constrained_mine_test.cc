@@ -6,13 +6,21 @@
 #include <gtest/gtest.h>
 
 #include "core/compressor.h"
+#include "fpm/constraints.h"
 #include "fpm/miner.h"
 #include "tests/test_util.h"
 
 namespace gogreen::core {
 namespace {
 
+using fpm::ConstraintSet;
 using fpm::ItemId;
+using fpm::MakeItemSubset;
+using fpm::MakeMaxLength;
+using fpm::MakeMaxSum;
+using fpm::MakeMinAvg;
+using fpm::MakeMinLength;
+using fpm::MakeRequiresAny;
 using fpm::PatternSet;
 using fpm::TransactionDb;
 using testutil::RandomDb;

@@ -1,14 +1,12 @@
 // Tests for the constraint framework (Section 2): categories, satisfaction,
 // tighten/relax classification, and set-level comparison.
 
-#include "core/constraints.h"
+#include "fpm/constraints.h"
 
 #include <gtest/gtest.h>
 
-namespace gogreen::core {
+namespace gogreen::fpm {
 namespace {
-
-using fpm::Pattern;
 
 TEST(ConstraintsTest, MaxLengthIsAntiMonotone) {
   auto c = MakeMaxLength(2);
@@ -146,4 +144,4 @@ TEST(ConstraintSetTest, DescribeMentionsEveryPart) {
 }
 
 }  // namespace
-}  // namespace gogreen::core
+}  // namespace gogreen::fpm

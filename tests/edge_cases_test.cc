@@ -6,9 +6,9 @@
 
 #include "core/compressed_miner.h"
 #include "core/compressor.h"
-#include "core/recycler.h"
 #include "fpm/hmine.h"
 #include "fpm/miner.h"
+#include "serve/mining_service.h"
 #include "tests/test_util.h"
 
 namespace gogreen {
@@ -165,16 +165,22 @@ TEST(EdgeCasesTest, DeepRelaxationChain) {
   // Mine at a ladder of thresholds, recycling each round into the next;
   // every rung must stay exact.
   const TransactionDb db = testutil::RandomDb(881, 500, 50, 7.0);
-  core::RecyclingSession session(db);
+  serve::MiningService service(db, "ladder");
+  uint64_t previous = 0;
   for (uint64_t sup : {120u, 60u, 30u, 15u, 8u, 4u}) {
     SCOPED_TRACE(sup);
-    auto got = session.Mine(sup);
-    ASSERT_TRUE(got.ok());
+    serve::ServeStats stats;
+    auto got = service.Mine(fpm::MineRequest::At(sup), &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(stats.route, previous == 0 ? core::SeedRoute::kNone
+                                         : core::SeedRoute::kRecycle);
+    EXPECT_EQ(stats.seed_support, previous);
+    previous = sup;
     auto expected =
         fpm::CreateMiner(fpm::MinerKind::kFpGrowth)->Mine(db, sup);
     ASSERT_TRUE(expected.ok());
     PatternSet a = std::move(expected).value();
-    PatternSet b = std::move(got).value();
+    PatternSet b = std::move(got->patterns);
     EXPECT_TRUE(PatternSet::Equal(&a, &b));
   }
 }

@@ -1,7 +1,6 @@
 // Tests for the unified MineRequest/MineResult API: effective-support
 // resolution, equivalence with the remaining shape-specific entry points
-// (Mine(db, minsup), MineCompressed, the recycler's support- and
-// constraint-shaped calls), and per-request thread counts.
+// (Mine(db, minsup), MineCompressed), and per-request thread counts.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 
 #include "core/compressed_miner.h"
 #include "core/compressor.h"
-#include "core/recycler.h"
 #include "fpm/constraints.h"
 #include "fpm/miner.h"
 #include "fpm/pattern_set.h"
@@ -186,43 +184,6 @@ TEST(MineRequestTest, CompressedMinerUnifiedMatchesLegacy) {
     ExpectIdentical(legacy.value(), unified->patterns,
                     "compressed unified vs MineCompressed");
   }
-}
-
-TEST(MineRequestTest, RecyclerUnifiedMatchesLegacySession) {
-  const TransactionDb db = testutil::RandomDb(53, 300, 40, 6.0);
-
-  core::RecyclingSession legacy(db);
-  core::RecyclingSession unified(db);
-  for (uint64_t minsup : {30u, 18u, 24u, 12u}) {
-    SCOPED_TRACE(testing::Message() << "minsup " << minsup);
-    auto a = legacy.Mine(minsup);
-    ASSERT_TRUE(a.ok());
-    auto b = unified.Mine(MineRequest::At(minsup));
-    ASSERT_TRUE(b.ok());
-    EXPECT_FALSE(b->partial);
-    ExpectIdentical(a.value(), b->patterns, "recycler unified vs legacy");
-    // Both sessions took the same route.
-    EXPECT_EQ(unified.last_stats().path, legacy.last_stats().path);
-  }
-}
-
-TEST(MineRequestTest, RecyclerUnifiedMatchesLegacyConstrainedSession) {
-  const TransactionDb db = testutil::RandomDb(59, 300, 40, 6.0);
-
-  ConstraintSet constraints(/*min_support=*/20);
-  constraints.Add(fpm::MakeMinLength(2));
-
-  core::RecyclingSession legacy(db);
-  auto a = legacy.Mine(constraints);
-  ASSERT_TRUE(a.ok());
-
-  core::RecyclingSession unified(db);
-  MineRequest request;
-  request.constraints = &constraints;
-  auto b = unified.Mine(request);
-  ASSERT_TRUE(b.ok());
-  ExpectIdentical(a.value(), b->patterns,
-                  "recycler constrained unified vs legacy");
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <optional>
 
 #include "fpm/eclat.h"
 #include "fpm/miner.h"
@@ -237,6 +239,42 @@ TEST(MinersTest, AbsoluteSupportConversion) {
   EXPECT_EQ(AbsoluteSupport(0.05, 101), 6u);  // Ceil.
   EXPECT_EQ(AbsoluteSupport(1.0, 7), 7u);
   EXPECT_EQ(AbsoluteSupport(0.001, 10), 1u);  // Clamped to >= 1.
+}
+
+TEST(MinersTest, ResolveSupportTable) {
+  // Below 1 is a fraction of the database, anything else a count; values
+  // that are not a positive number representable as a count are rejected
+  // instead of reaching an undefined float-to-integer conversion.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double support;
+    std::optional<uint64_t> want;  // nullopt: InvalidArgument.
+  };
+  const Case cases[] = {
+      {nan, std::nullopt},
+      {inf, std::nullopt},
+      {-inf, std::nullopt},
+      {-1.0, std::nullopt},
+      {0.0, std::nullopt},
+      {0.5, 50},
+      {1.0, 1},
+      {2.7, 2},
+      {1e30, std::nullopt},
+      {18446744073709551616.0, std::nullopt},  // 2^64.
+      {18446744073709549568.0, 18446744073709549568u},  // Largest below.
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.support);
+    const Result<uint64_t> got = ResolveSupport(c.support, 100);
+    if (c.want.has_value()) {
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, *c.want);
+    } else {
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 }  // namespace

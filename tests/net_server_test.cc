@@ -224,6 +224,10 @@ TEST(NetServerTest, WellFramedBadPayloadKeepsConnectionAlive) {
       {"unknown verb", "{\"v\":1,\"verb\":\"fly\"}", "unknown verb"},
       {"wrong version", "{\"v\":1984,\"verb\":\"ping\"}",
        "unsupported protocol version"},
+      // Finite but beyond any count: rejected before the float-to-integer
+      // conversion instead of mining at a garbage support.
+      {"support out of range",
+       "{\"v\":1,\"verb\":\"mine\",\"support\":1e30}", "positive support"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -235,6 +239,7 @@ TEST(NetServerTest, WellFramedBadPayloadKeepsConnectionAlive) {
     auto resp = WireResponse::FromJson(payload);
     ASSERT_TRUE(resp.ok()) << resp.status().ToString();
     EXPECT_EQ(resp->outcome, Outcome::kError);
+    EXPECT_EQ(resp->error_code, StatusCode::kInvalidArgument);
     EXPECT_NE(resp->error.find(c.expect_in_error), std::string::npos)
         << resp->error;
   }

@@ -234,11 +234,17 @@ TEST_F(ServiceWideEventTest, PhaseSecondsSumCloseToWallTime) {
   ASSERT_EQ(sweep.events.size(), 4u);
   for (const RequestEvent& event : sweep.events) {
     double phase_sum = 0.0;
+    bool has_store_put = false;
     for (const auto& [name, seconds] : event.phases) {
       EXPECT_EQ(name.rfind("serve.", 0), 0u) << name;
       EXPECT_NE(name, "serve.request") << "envelope span is not a phase";
+      has_store_put |= name == "serve.store_put";
       phase_sum += seconds;
     }
+    // Every mined answer (scratch, recycle, filter-down) is written back
+    // under its own phase, outside the route span; an exact hit writes
+    // nothing.
+    EXPECT_EQ(has_store_put, event.route != "exact") << event.ToJsonLine();
     // The phase spans are disjoint and nested inside the request, so the
     // sum cannot exceed the wall time and must account for nearly all of
     // it. The absolute floor keeps microsecond-scale exact hits (where

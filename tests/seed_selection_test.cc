@@ -115,10 +115,10 @@ TEST(SeedSelectionTest, ExactTiesAlsoBreakOnImageThenRecency) {
   EXPECT_EQ(c.tag, 2u);
 }
 
-TEST(SeedSelectionTest, MatchesRecyclingSessionSingleCandidateContract) {
-  // The RecyclingSession feeds exactly one candidate (its last cached set).
-  // xi_old >= xi_new must always produce a usable route — this is the
-  // paper's recyclability condition (Section 3.2).
+TEST(SeedSelectionTest, SingleCandidateAlwaysYieldsARoute) {
+  // A store holding one set for the dataset: any cached support must
+  // produce a usable route — for xi_old >= xi_new this is the paper's
+  // recyclability condition (Section 3.2).
   for (uint64_t cached = 1; cached <= 30; ++cached) {
     SeedChoice c = SelectSeed({Cand(cached)}, 10);
     if (cached == 10) {

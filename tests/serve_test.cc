@@ -4,7 +4,10 @@
 // the same database at the same support, on all four example datasets, at 1
 // and 4 threads. Plus: partial governed results are cached at their frontier
 // (the paper's relax-recycle loop), constrained requests share support-
-// complete seeds, and the store budget holds under service load.
+// complete seeds, and the store budget holds under service load. The
+// RecyclerTest cases follow one analyst (or several sharing a service)
+// through the interactive loop: tighten, relax, drill down, every recycling
+// algorithm and compression strategy.
 
 #include <gtest/gtest.h>
 
@@ -35,7 +38,10 @@ using fpm::PatternSet;
 using fpm::TransactionDb;
 using serve::MiningService;
 using serve::ServeStats;
+using serve::ServiceOptions;
 using serve::StoreKey;
+using testutil::PaperExampleDb;
+using testutil::RandomDb;
 
 /// Direct mine with no store involved: the correctness oracle for every
 /// service route.
@@ -272,6 +278,215 @@ TEST_F(ServeBehaviorTest, TinyBudgetServiceStaysCorrectUnderEviction) {
                            "mining with a zero-capacity store");
     EXPECT_EQ(service.store().bytes_in_use(), 0u);
   }
+}
+
+// --- The interactive loop, one request at a time. ---
+
+TEST(RecyclerTest, FirstMineIsInitialPath) {
+  MiningService service(PaperExampleDb(), "paper");
+  ServeStats stats;
+  MineResult result = ServeAt(service, 3, /*threads=*/0, &stats);
+  EXPECT_EQ(stats.route, SeedRoute::kNone);
+  EXPECT_EQ(stats.seed_support, 0u);
+  EXPECT_EQ(result.patterns.size(), 11u);
+  // The answer is stored for later rounds to reuse.
+  EXPECT_NE(service.store().Get({"paper", "", 3}), nullptr);
+}
+
+TEST(RecyclerTest, TightenedUsesFilterPath) {
+  const TransactionDb db = RandomDb(31, 500, 50, 7.0);
+  MiningService service(db, "tighten");
+  (void)ServeAt(service, 10, /*threads=*/0);
+
+  ServeStats stats;
+  MineResult result = ServeAt(service, 25, /*threads=*/0, &stats);
+  EXPECT_EQ(stats.route, SeedRoute::kFilterDown);
+  EXPECT_EQ(stats.seed_support, 10u);
+  ExpectCanonicallyEqual(DirectMine(db, 25), std::move(result.patterns),
+                         "tightened support");
+  // The richer set stays stored for future relaxations.
+  EXPECT_NE(service.store().Get({"tighten", "", 10}), nullptr);
+}
+
+TEST(RecyclerTest, RelaxedUsesRecycledPathAndIsExact) {
+  const TransactionDb db = RandomDb(32, 500, 50, 7.0);
+  MiningService service(db, "relax");
+  (void)ServeAt(service, 40, /*threads=*/0);
+
+  ServeStats stats;
+  MineResult result = ServeAt(service, 12, /*threads=*/0, &stats);
+  EXPECT_EQ(stats.route, SeedRoute::kRecycle);
+  EXPECT_EQ(stats.seed_support, 40u);
+  EXPECT_LE(stats.compression_ratio, 1.0);
+  ExpectCanonicallyEqual(DirectMine(db, 12), std::move(result.patterns),
+                         "relaxed support");
+  EXPECT_NE(service.store().Get({"relax", "", 12}), nullptr);
+}
+
+TEST(RecyclerTest, IterativeDrillDownStaysCorrect) {
+  // The canonical workflow from the introduction: relax step by step, with
+  // a tightening thrown in. Each round seeds from the nearest stored set.
+  const TransactionDb db = RandomDb(33, 800, 60, 8.0);
+  MiningService service(db, "drill");
+  struct Round {
+    uint64_t minsup;
+    SeedRoute route;
+    uint64_t seed;
+  };
+  for (const Round& round : {Round{60, SeedRoute::kNone, 0},
+                             Round{35, SeedRoute::kRecycle, 60},
+                             Round{50, SeedRoute::kFilterDown, 35},
+                             Round{20, SeedRoute::kRecycle, 35},
+                             Round{10, SeedRoute::kRecycle, 20}}) {
+    SCOPED_TRACE(round.minsup);
+    ServeStats stats;
+    MineResult result = ServeAt(service, round.minsup, /*threads=*/0, &stats);
+    EXPECT_EQ(stats.route, round.route);
+    EXPECT_EQ(stats.seed_support, round.seed);
+    ExpectCanonicallyEqual(DirectMine(db, round.minsup),
+                           std::move(result.patterns), "drill-down round");
+  }
+}
+
+TEST(RecyclerTest, AllAlgoStrategyCombinationsAgree) {
+  const TransactionDb db = RandomDb(34, 300, 40, 6.0);
+  const PatternSet expected = DirectMine(db, 8);
+  for (size_t threads : {1u, 4u}) {
+    for (core::RecycleAlgo algo :
+         {core::RecycleAlgo::kNaive, core::RecycleAlgo::kHMine,
+          core::RecycleAlgo::kFpGrowth, core::RecycleAlgo::kTreeProjection}) {
+      for (core::CompressionStrategy strategy :
+           {core::CompressionStrategy::kMcp,
+            core::CompressionStrategy::kMlp}) {
+        SCOPED_TRACE(testing::Message()
+                     << core::RecycleAlgoName(algo) << "/"
+                     << core::CompressionStrategyName(strategy) << " t"
+                     << threads);
+        ServiceOptions options;
+        options.algo = algo;
+        options.strategy = strategy;
+        MiningService service(db, "grid", options);
+        (void)ServeAt(service, 30, threads);
+        ServeStats stats;
+        MineResult result = ServeAt(service, 8, threads, &stats);
+        EXPECT_EQ(stats.route, SeedRoute::kRecycle);
+        EXPECT_EQ(stats.seed_support, 30u);
+        ExpectCanonicallyEqual(expected, std::move(result.patterns),
+                               "algo x strategy grid");
+      }
+    }
+  }
+}
+
+TEST(RecyclerTest, DisabledRecyclingAlwaysScratch) {
+  // The no-recycling control the examples use: a store too small to keep
+  // any answer leaves every round to mine from scratch, with the same
+  // answers a recycling service gives.
+  const TransactionDb db = RandomDb(37, 400, 40, 6.0);
+  ServiceOptions tiny;
+  tiny.store.byte_budget = 1;
+  MiningService control(db, "control", tiny);
+  MiningService recycling(db, "recycling");
+  for (uint64_t minsup : {30u, 10u, 20u}) {
+    SCOPED_TRACE(minsup);
+    ServeStats control_stats;
+    MineResult scratch = ServeAt(control, minsup, 0, &control_stats);
+    EXPECT_EQ(control_stats.route, SeedRoute::kNone);
+    MineResult reused = ServeAt(recycling, minsup, 0);
+    ExpectCanonicallyEqual(std::move(reused.patterns),
+                           std::move(scratch.patterns),
+                           "control vs recycling service");
+  }
+  EXPECT_EQ(control.store().bytes_in_use(), 0u);
+}
+
+TEST(RecyclerTest, SeedCacheEnablesMultiUserRecycling) {
+  // Section 2's multi-user motivation: user A's answer, stored by the
+  // shared service, is what user B's deeper query recycles.
+  const TransactionDb db = RandomDb(35, 400, 40, 6.0);
+  MiningService service(db, "shared");
+  MineRequest alice = MineRequest::At(30);
+  alice.tenant = "alice";
+  ServeStats stats;
+  ASSERT_TRUE(service.Mine(alice, &stats).ok());
+  EXPECT_EQ(stats.route, SeedRoute::kNone);
+
+  MineRequest bob = MineRequest::At(10);
+  bob.tenant = "bob";
+  auto result = service.Mine(bob, &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(stats.route, SeedRoute::kRecycle);
+  EXPECT_EQ(stats.seed_support, 30u);
+  EXPECT_EQ(stats.tenant, "bob");
+  ExpectCanonicallyEqual(DirectMine(db, 10), std::move(result->patterns),
+                         "user B recycling user A's answer");
+}
+
+TEST(RecyclerTest, InvalidateCacheForcesInitialMine) {
+  MiningService service(PaperExampleDb(), "paper");
+  (void)ServeAt(service, 3, /*threads=*/0);
+  service.store().Clear();
+  ServeStats stats;
+  MineResult result = ServeAt(service, 2, /*threads=*/0, &stats);
+  EXPECT_EQ(stats.route, SeedRoute::kNone);
+  ExpectCanonicallyEqual(DirectMine(PaperExampleDb(), 2),
+                         std::move(result.patterns), "after clearing");
+}
+
+TEST(RecyclerTest, MineFractionConvertsThreshold) {
+  MiningService service(PaperExampleDb(), "paper");
+  const auto support =
+      fpm::ResolveSupport(0.6, service.db().NumTransactions());
+  ASSERT_TRUE(support.ok());
+  EXPECT_EQ(*support, 3u);  // ceil(0.6 * 5).
+  MineResult result = ServeAt(service, *support, /*threads=*/0);
+  EXPECT_EQ(result.patterns.size(), 11u);
+  EXPECT_FALSE(fpm::ResolveSupport(0.0, 5).ok());
+}
+
+TEST(RecyclerTest, ZeroSupportRejected) {
+  MiningService service(PaperExampleDb(), "paper");
+  auto result = service.Mine(MineRequest::At(0));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(RecyclerTest, ConstrainedMiningFiltersAndReportsDelta) {
+  // A constrained query relaxed in support recycles the support-complete
+  // set of the earlier, tighter query, then filters.
+  const TransactionDb db = RandomDb(36, 400, 40, 6.0);
+  MiningService service(db, "constrained");
+
+  fpm::ConstraintSet tight(/*min_support=*/20);
+  tight.Add(fpm::MakeMinLength(2));
+  MineRequest first;
+  first.constraints = &tight;
+  auto r1 = service.Mine(first);
+  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+  for (const auto& p : r1->patterns) EXPECT_GE(p.size(), 2u);
+
+  fpm::ConstraintSet relaxed(/*min_support=*/8);
+  relaxed.Add(fpm::MakeMinLength(2));
+  MineRequest second;
+  second.constraints = &relaxed;
+  ServeStats stats;
+  auto r2 = service.Mine(second, &stats);
+  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+  EXPECT_EQ(stats.route, SeedRoute::kRecycle);
+  EXPECT_EQ(stats.seed_support, 20u);
+  ExpectCanonicallyEqual(relaxed.Filter(DirectMine(db, 8)),
+                         std::move(r2->patterns), "constrained relax");
+}
+
+TEST(RecyclerTest, StatsReportPatternCounts) {
+  MiningService service(PaperExampleDb(), "paper");
+  ServeStats stats;
+  MineResult result = ServeAt(service, 3, /*threads=*/0, &stats);
+  EXPECT_EQ(stats.patterns_returned, 11u);
+  EXPECT_EQ(result.patterns.size(), 11u);
+  auto stored = service.store().Get({"paper", "", 3});
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(stored->size(), 11u);
 }
 
 }  // namespace

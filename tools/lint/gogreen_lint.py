@@ -37,7 +37,13 @@ cannot express:
                       must not reappear under their old names — one query
                       is one fpm::MineRequest; governors ride in
                       MineRequest::run_context (internal helpers that bind
-                      a context spell it BindRunContext).
+                      a context spell it BindRunContext). Neither may the
+                      deleted single-cache session (RecyclingSession,
+                      RecyclerOptions, MiningPath, MineOutcome, and the
+                      core/recycler.h and core/constraints.h headers):
+                      serve::MiningService is the one recycling session,
+                      fpm::MineResult the one result shape, and the
+                      constraint framework lives in fpm/constraints.h.
   orphan-mutex        Every gogreen::Mutex / SharedMutex member must be
                       named by at least one GUARDED_BY / PT_GUARDED_BY in
                       the same file — a mutex that guards nothing is either
@@ -103,7 +109,11 @@ BACKTICK_RE = re.compile(r"`([^`]+)`")
 ENV_ACCESS_RE = re.compile(r"\b(?:std::)?(?:getenv|secure_getenv|setenv|"
                            r"putenv|unsetenv)\s*\(")
 DEPRECATED_API_RE = re.compile(
-    r"\b(?:MineGoverned|MineCompressedGoverned|SetRunContext)\b")
+    r"\b(?:MineGoverned|MineCompressedGoverned|SetRunContext|"
+    r"RecyclingSession|RecyclerOptions|MiningPath\w*|MineOutcome)\b")
+# Matched with string literals kept (the header name is one).
+DEPRECATED_INCLUDE_RE = re.compile(
+    r'#\s*include\s*"core/(?:recycler|constraints)\.h"')
 RAW_THREAD_RE = re.compile(r"\bstd::thread\b")
 NAKED_NEW_RE = re.compile(r"\bnew\b|\bdelete\b")
 
@@ -329,9 +339,13 @@ def run_checks(files, registry_text, design_text=""):
             "MutexLock / CondVar so the thread-safety build sees it)")
         violations += scan_pattern(
             path, raw_text, "deprecated-api", DEPRECATED_API_RE,
-            "deleted pre-MineRequest API name (use the unified "
-            "fpm::MineRequest entry point; context-binding helpers are "
+            "deleted API name (use the unified fpm::MineRequest entry "
+            "point and serve::MiningService; context-binding helpers are "
             "spelled BindRunContext)")
+        violations += scan_pattern(
+            path, raw_text, "deprecated-api", DEPRECATED_INCLUDE_RE,
+            "deleted header (use serve/mining_service.h or "
+            "fpm/constraints.h)", keep_strings=True)
     violations += check_failpoints(files, registry_text)
     violations += check_metric_naming(files, design_text)
     violations += check_orphan_mutexes(files)
@@ -407,6 +421,30 @@ def self_test():
          "// SetRunContext in a comment\n", False),
         ("deprecated-api", "src/a.cc",
          "ctx->SetRequestId(id);\n", False),
+        ("deprecated-api", "src/a.cc",
+         "core::RecyclingSession session(db);\n", True),
+        ("deprecated-api", "bench/a.cc",
+         "core::RecyclerOptions options;\n", True),
+        ("deprecated-api", "tools/a.cc",
+         "if (path == MiningPath::kRecycled) {}\n", True),
+        ("deprecated-api", "src/a.cc",
+         "puts(core::MiningPathName(path));\n", True),
+        ("deprecated-api", "src/a.cc",
+         "fpm::MineOutcome outcome = Finish();\n", True),
+        ("deprecated-api", "src/a.cc",
+         '#include "core/recycler.h"\n', True),
+        ("deprecated-api", "src/a.cc",
+         '#include "core/constraints.h"\n', True),
+        ("deprecated-api", "src/a.cc",
+         '#include "fpm/constraints.h"\n', False),
+        ("deprecated-api", "src/a.cc",
+         '#include "core/constrained_mine.h"\n', False),
+        ("deprecated-api", "src/a.cc",
+         "// core/recycler.h and RecyclingSession in a comment\n", False),
+        ("deprecated-api", "src/a.cc",
+         "serve::MiningService service(db, id);\n", False),
+        ("deprecated-api", "src/a.cc",
+         "fpm::MineResult result = Finish();\n", False),
         ("raw-mutex", "src/a.cc", "std::mutex mu_;\n", True),
         ("raw-mutex", "src/a.cc", "std::scoped_lock lock(mu_);\n", True),
         ("raw-mutex", "src/a.cc",
