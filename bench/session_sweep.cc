@@ -6,6 +6,12 @@
 // shape of the paper's Figures 9-20 sweeps: the same thresholds, but every
 // answer after the first is served from the pattern store.
 //
+// Each step asserts the route it claims to measure: xi_old is `none`, every
+// relaxation `recycle`, the re-query `exact` and the in-between support
+// `filter-down`. The store gets an explicit budget that holds a whole
+// sweep, so no answer is evicted before it is re-queried, and the binary
+// exits non-zero when any step is served by another route.
+//
 // `--json [path]` additionally writes BENCH_session_sweep.json with one row
 // per request: dataset, support, route, wall seconds, compression seconds,
 // compression ratio, and the pattern count.
@@ -40,11 +46,16 @@
 namespace gogreen::bench {
 namespace {
 
+/// Store budget per dataset's service: holds every answer of one sweep
+/// (the largest, weather-sub at xi=1%, is ~0.8M patterns at smoke scale).
+constexpr size_t kSweepStoreBudget = size_t{2} << 30;
+
 struct SweepRow {
   std::string dataset;
   double xi = 0.0;
   uint64_t min_support = 0;
   std::string route;
+  std::string expected_route;  ///< The route the step claims to measure.
   double seconds = 0.0;
   double compress_seconds = 0.0;
   double ratio = 1.0;
@@ -59,11 +70,12 @@ struct SweepTarget {
 };
 
 Status ServeOne(const SweepTarget& target, double xi, uint64_t min_support,
-                std::vector<SweepRow>* rows) {
+                core::SeedRoute expected, std::vector<SweepRow>* rows) {
   SweepRow row;
   row.dataset = target.service->dataset_id();
   row.xi = xi;
   row.min_support = min_support;
+  row.expected_route = core::SeedRouteName(expected);
   if (target.client != nullptr) {
     net::WireRequest request;
     request.verb = net::Verb::kMine;
@@ -89,9 +101,12 @@ Status ServeOne(const SweepTarget& target, double xi, uint64_t min_support,
   }
   rows->push_back(row);
   std::printf("  %-14s xi=%-7.4g support=%-8" PRIu64
-              " route=%-11s patterns=%-8" PRIu64 " %s\n",
+              " route=%-11s patterns=%-8" PRIu64 " %s%s\n",
               row.dataset.c_str(), xi, min_support, row.route.c_str(),
-              row.patterns, FormatSeconds(row.seconds).c_str());
+              row.patterns, FormatSeconds(row.seconds).c_str(),
+              row.route == row.expected_route
+                  ? ""
+                  : ("  (expected " + row.expected_route + ")").c_str());
   return Status::OK();
 }
 
@@ -101,7 +116,9 @@ Status SweepDataset(data::DatasetId id, bool via_socket,
   GOGREEN_ASSIGN_OR_RETURN(fpm::TransactionDb db,
                            data::MakeDataset(id, GetBenchScale()));
   const size_t n = db.NumTransactions();
-  serve::MiningService service(std::move(db), spec.name);
+  serve::ServiceOptions service_options;
+  service_options.store.byte_budget = kSweepStoreBudget;
+  serve::MiningService service(std::move(db), spec.name, service_options);
 
   // Socket mode: stand up a daemon over this service and route every
   // request through a real framed connection. The temp dir holding the
@@ -124,17 +141,17 @@ Status SweepDataset(data::DatasetId id, bool via_socket,
   const SweepTarget target{&service, client.get()};
 
   // The paper's sweep as a session: tight first, then relax step by step.
-  GOGREEN_RETURN_NOT_OK(
-      ServeOne(target, spec.xi_old, fpm::AbsoluteSupport(spec.xi_old, n),
-               rows));
+  GOGREEN_RETURN_NOT_OK(ServeOne(target, spec.xi_old,
+                                 fpm::AbsoluteSupport(spec.xi_old, n),
+                                 core::SeedRoute::kNone, rows));
   for (const double xi : spec.xi_new_sweep) {
-    GOGREEN_RETURN_NOT_OK(
-        ServeOne(target, xi, fpm::AbsoluteSupport(xi, n), rows));
+    GOGREEN_RETURN_NOT_OK(ServeOne(target, xi, fpm::AbsoluteSupport(xi, n),
+                                   core::SeedRoute::kRecycle, rows));
   }
   // Re-query the first threshold: an exact hit off the store.
-  GOGREEN_RETURN_NOT_OK(
-      ServeOne(target, spec.xi_old, fpm::AbsoluteSupport(spec.xi_old, n),
-               rows));
+  GOGREEN_RETURN_NOT_OK(ServeOne(target, spec.xi_old,
+                                 fpm::AbsoluteSupport(spec.xi_old, n),
+                                 core::SeedRoute::kExact, rows));
   // A support between the two tightest cached thresholds: filter-down.
   const uint64_t hi = fpm::AbsoluteSupport(spec.xi_old, n);
   const uint64_t lo = fpm::AbsoluteSupport(spec.xi_new_sweep.front(), n);
@@ -142,7 +159,7 @@ Status SweepDataset(data::DatasetId id, bool via_socket,
   if (mid > lo && mid < hi) {
     GOGREEN_RETURN_NOT_OK(
         ServeOne(target, static_cast<double>(mid) / static_cast<double>(n),
-                 mid, rows));
+                 mid, core::SeedRoute::kFilterDown, rows));
   }
   if (server != nullptr) server->Stop();
   return Status::OK();
@@ -222,7 +239,19 @@ int RunSessionSweep(const BenchOptions& options, bool via_socket) {
     if (!ok) return 1;
     std::printf("wrote %s\n", path.c_str());
   }
-  return 0;
+
+  // A row measures the route it claims, or the sweep fails.
+  int mislabelled = 0;
+  for (const SweepRow& row : rows) {
+    if (row.route == row.expected_route) continue;
+    std::fprintf(stderr,
+                 "session sweep: %s support=%" PRIu64
+                 " was served by route %s, expected %s\n",
+                 row.dataset.c_str(), row.min_support, row.route.c_str(),
+                 row.expected_route.c_str());
+    ++mislabelled;
+  }
+  return mislabelled == 0 ? 0 : 1;
 }
 
 }  // namespace

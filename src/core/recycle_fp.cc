@@ -22,15 +22,13 @@ class RecycleFpContext {
   explicit RecycleFpContext(SliceMiningContext* base) : base_(base) {}
 
   /// Returns false iff a governed stop abandoned part of the subtree.
-  bool Mine(const std::vector<WeightedSlice>& slices,
-            std::vector<Rank>* prefix) {
+  bool Mine(const FlatSliceDb& slices, std::vector<Rank>* prefix) {
     std::vector<uint64_t> freq_counts;
     const std::vector<Rank> frequent =
-        base_->CountFrequentWeighted(slices, &freq_counts);
+        base_->CountFrequent(slices, &freq_counts);
     if (frequent.empty()) return true;
 
-    if (base_->TrySingleGroupWeighted(slices, frequent, freq_counts,
-                                      prefix)) {
+    if (base_->TrySingleGroup(slices, frequent, freq_counts, prefix)) {
       return true;
     }
 
@@ -42,23 +40,31 @@ class RecycleFpContext {
       }
       prefix->push_back(frequent[i]);
       base_->EmitPattern(*prefix, freq_counts[i]);
-      const std::vector<WeightedSlice> projected =
-          ProjectWeightedSlices(slices, frequent[i]);
-      ++base_->stats()->projections_built;
-      // The projected slices are this step's dominant scratch; charge them
-      // while the recursion below keeps them alive.
-      const ScopedBytes charge(base_->run_context(),
-                               base_->run_context() != nullptr
-                                   ? ApproxWeightedSliceBytes(projected)
-                                   : 0);
-      if (!projected.empty() && !Mine(projected, prefix)) completed = false;
+      if (!MineProjection(slices, frequent[i], prefix)) completed = false;
       prefix->pop_back();
     }
     return completed;
   }
 
+  /// Projects `slices` onto `f` and mines the projection under `prefix`
+  /// (which already ends in f).
+  bool MineProjection(const FlatSliceDb& slices, Rank f,
+                      std::vector<Rank>* prefix) {
+    const FlatSliceDb projected = projector_.Project(slices, f);
+    ++base_->stats()->projections_built;
+    if (projected.empty()) return true;
+    // The projection's own arrays are this step's dominant scratch (its
+    // items are views into the root); charge them while the recursion
+    // below keeps them alive.
+    const ScopedBytes charge(
+        base_->run_context(),
+        base_->run_context() != nullptr ? projected.OwnedBytes() : 0);
+    return Mine(projected, prefix);
+  }
+
  private:
   SliceMiningContext* base_;
+  SliceProjector projector_;
 };
 
 }  // namespace
@@ -78,11 +84,10 @@ Result<fpm::PatternSet> RecycleFpMiner::MineCompressed(
     GOGREEN_VALIDATE_OR_DIE(check::ValidateFList(flist, min_support));
   }
   if (!flist.empty()) {
-    const SliceDb sdb = SliceDb::Build(cdb, flist);
     SliceMiningContext base(flist, min_support, &out, &stats_);
     base.BindRunContext(run_ctx_);
     std::vector<Rank> prefix;
-    const std::vector<WeightedSlice> root = BuildWeightedSlices(sdb);
+    const FlatSliceDb root = FlatSliceDb::Build(SliceDb::Build(cdb, flist));
 
     if (run_ctx_ == nullptr && !fpm::ParallelMiningEnabled()) {
       RecycleFpContext ctx(&base);
@@ -90,41 +95,37 @@ Result<fpm::PatternSet> RecycleFpMiner::MineCompressed(
     } else {
       // Expand the root level once (count + the Lemma 3.1 shortcut), then
       // fan the first-level projections out to the pool. Every worker
-      // projects from the shared read-only root slices; ascending-rank
-      // shard merge reproduces the sequential emission order exactly. A
-      // governed run fans descending instead, so an early stop yields a
-      // sound frontier.
+      // projects from the shared read-only root; ascending-rank shard
+      // merge reproduces the sequential emission order exactly. A governed
+      // run fans descending instead, so an early stop yields a sound
+      // frontier.
       std::vector<uint64_t> freq_counts;
       const std::vector<Rank> frequent =
-          base.CountFrequentWeighted(root, &freq_counts);
+          base.CountFrequent(root, &freq_counts);
       if (!frequent.empty() &&
-          !base.TrySingleGroupWeighted(root, frequent, freq_counts,
-                                       &prefix)) {
-        // Lane-local contexts reuse the counting scratch across subtrees.
+          !base.TrySingleGroup(root, frequent, freq_counts, &prefix)) {
+        // Lane-local contexts reuse the counting and projection scratch
+        // across subtrees.
+        struct Lane {
+          std::unique_ptr<SliceMiningContext> base;
+          std::unique_ptr<RecycleFpContext> ctx;
+        };
         const std::shared_ptr<ThreadPool> pool = ThreadPool::Global();
-        std::vector<std::unique_ptr<SliceMiningContext>> lanes(
-            pool->threads());
+        std::vector<Lane> lanes(pool->threads());
         const auto mine_subtree = [&](fpm::MineShard* shard, size_t lane,
                                       size_t i) -> bool {
-          auto& lane_base = lanes[lane];
-          if (!lane_base) {
-            lane_base = std::make_unique<SliceMiningContext>(
+          Lane& slot = lanes[lane];
+          if (!slot.ctx) {
+            slot.base = std::make_unique<SliceMiningContext>(
                 flist, min_support, nullptr, nullptr);
-            lane_base->BindRunContext(run_ctx_);
+            slot.base->BindRunContext(run_ctx_);
+            slot.ctx = std::make_unique<RecycleFpContext>(slot.base.get());
           }
-          lane_base->SetSinks(&shard->patterns, &shard->stats);
+          slot.base->SetSinks(&shard->patterns, &shard->stats);
           std::vector<Rank> sub_prefix;
           sub_prefix.push_back(frequent[i]);
-          lane_base->EmitPattern(sub_prefix, freq_counts[i]);
-          const std::vector<WeightedSlice> projected =
-              ProjectWeightedSlices(root, frequent[i]);
-          ++shard->stats.projections_built;
-          if (projected.empty()) return true;
-          const ScopedBytes charge(
-              run_ctx_,
-              run_ctx_ != nullptr ? ApproxWeightedSliceBytes(projected) : 0);
-          RecycleFpContext ctx(lane_base.get());
-          return ctx.Mine(projected, &sub_prefix);
+          slot.base->EmitPattern(sub_prefix, freq_counts[i]);
+          return slot.ctx->MineProjection(root, frequent[i], &sub_prefix);
         };
 
         if (run_ctx_ == nullptr) {
@@ -135,9 +136,8 @@ Result<fpm::PatternSet> RecycleFpMiner::MineCompressed(
               },
               &out, &stats_);
         } else {
-          // Root slices stay live for the whole fan-out.
-          const ScopedBytes root_charge(run_ctx_,
-                                        ApproxWeightedSliceBytes(root));
+          // The root stays live for the whole fan-out.
+          const ScopedBytes root_charge(run_ctx_, root.OwnedBytes());
           fpm::MineFirstLevelGoverned(pool, frequent.size(), mine_subtree,
                                       &out, &stats_, run_ctx_, freq_counts,
                                       /*mark_frontier=*/true);

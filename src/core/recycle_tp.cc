@@ -45,10 +45,9 @@ class RecycleTpContext {
   /// inside the slices are weighted (the bucketing the Tree Projection
   /// baseline also uses).
   /// Returns false iff a governed stop abandoned part of the subtree.
-  bool Process(const std::vector<WeightedSlice>& slices,
-               const std::vector<Rank>& ext, const std::vector<uint64_t>& c1,
-               std::vector<Rank>* prefix) {
-    if (base_->TrySingleGroupWeighted(slices, ext, c1, prefix)) return true;
+  bool Process(const FlatSliceDb& slices, const std::vector<Rank>& ext,
+               const std::vector<uint64_t>& c1, std::vector<Rank>* prefix) {
+    if (base_->TrySingleGroup(slices, ext, c1, prefix)) return true;
 
     for (size_t i = 0; i < ext.size(); ++i) {
       prefix->push_back(ext[i]);
@@ -75,8 +74,8 @@ class RecycleTpContext {
   /// once per slice with the slice weight (the group-counter saving);
   /// pairs touching outlying rows are counted once per distinct row with
   /// the row's multiplicity.
-  void FillMatrix(const std::vector<WeightedSlice>& slices,
-                  const std::vector<Rank>& ext, PairMatrix* matrix) {
+  void FillMatrix(const FlatSliceDb& slices, const std::vector<Rank>& ext,
+                  PairMatrix* matrix) {
     // Local index mapping for the matrix.
     for (size_t i = 0; i < ext.size(); ++i) {
       local_of_[ext[i]] = static_cast<uint32_t>(i);
@@ -84,17 +83,17 @@ class RecycleTpContext {
 
     std::vector<uint32_t> pat_local;
     std::vector<uint32_t> out_local;
-    for (const WeightedSlice& s : slices) {
+    for (const SliceView& s : slices.slices()) {
       pat_local.clear();
       for (Rank r : s.pattern) pat_local.push_back(local_of_[r]);
       base_->stats()->items_scanned += pat_local.size();
-      const uint64_t weight = s.count();
+      const uint64_t weight = s.count;
       for (size_t a = 0; a < pat_local.size(); ++a) {
         for (size_t b = a + 1; b < pat_local.size(); ++b) {
           matrix->Add(pat_local[a], pat_local[b], weight);
         }
       }
-      for (const auto& [row, w] : s.outs) {
+      for (const auto& [row, w] : slices.rows(s)) {
         out_local.clear();
         for (Rank r : row) out_local.push_back(local_of_[r]);
         base_->stats()->items_scanned += out_local.size();
@@ -118,9 +117,9 @@ class RecycleTpContext {
   /// parent's already-filled pair matrix. Reads `slices` and `matrix`
   /// without mutating them, so distinct children may run concurrently on
   /// distinct contexts.
-  bool MineChild(const std::vector<WeightedSlice>& slices,
-                 const std::vector<Rank>& ext, const PairMatrix& matrix,
-                 size_t i, std::vector<Rank>* prefix) {
+  bool MineChild(const FlatSliceDb& slices, const std::vector<Rank>& ext,
+                 const PairMatrix& matrix, size_t i,
+                 std::vector<Rank>* prefix) {
     std::vector<Rank> child_ext;
     std::vector<uint64_t> child_c1;
     for (size_t j = i + 1; j < ext.size(); ++j) {
@@ -131,14 +130,15 @@ class RecycleTpContext {
     }
     if (child_ext.empty()) return true;
 
-    const std::vector<WeightedSlice> child =
-        ProjectAndFilter(slices, ext[i], child_ext);
+    // The child keeps only the pruned extension set, in its own buffer.
+    const FlatSliceDb child =
+        projector_.ProjectFiltered(slices, ext[i], child_ext);
     ++base_->stats()->projections_built;
-    // The projected child slices are this step's dominant scratch; charge
-    // them while the recursion below keeps them alive.
+    // The child is this step's dominant scratch; charge it while the
+    // recursion below keeps it alive.
     const ScopedBytes charge(
         base_->run_context(),
-        base_->run_context() != nullptr ? ApproxWeightedSliceBytes(child) : 0);
+        base_->run_context() != nullptr ? child.OwnedBytes() : 0);
     prefix->push_back(ext[i]);
     const bool completed = Process(child, child_ext, child_c1, prefix);
     prefix->pop_back();
@@ -146,45 +146,8 @@ class RecycleTpContext {
   }
 
  private:
-  /// Projects onto `f` and keeps only items in `keep` (ascending ranks).
-  std::vector<WeightedSlice> ProjectAndFilter(
-      const std::vector<WeightedSlice>& slices, Rank f,
-      const std::vector<Rank>& keep) {
-    std::vector<WeightedSlice> base = ProjectWeightedSlices(slices, f);
-    // Filter the survivors to the pruned extension set.
-    std::vector<WeightedSlice> out;
-    out.reserve(base.size());
-    for (WeightedSlice& s : base) {
-      WeightedSlice next;
-      next.empty_count = s.empty_count;
-      for (Rank r : s.pattern) {
-        if (std::binary_search(keep.begin(), keep.end(), r)) {
-          next.pattern.push_back(r);
-        }
-      }
-      std::vector<Rank> row_buf;
-      for (auto& [row, w] : s.outs) {
-        row_buf.clear();
-        for (Rank r : row) {
-          if (std::binary_search(keep.begin(), keep.end(), r)) {
-            row_buf.push_back(r);
-          }
-        }
-        if (row_buf.empty()) {
-          next.empty_count += w;
-        } else {
-          next.outs.emplace_back(row_buf, w);
-        }
-      }
-      if (next.pattern.empty()) next.empty_count = 0;
-      if (next.pattern.empty() && next.outs.empty()) continue;
-      DedupeWeightedOuts(&next.outs);
-      out.push_back(std::move(next));
-    }
-    return out;
-  }
-
   SliceMiningContext* base_;
+  SliceProjector projector_;
   std::vector<uint32_t> local_of_;  // Scratch, UINT32_MAX between calls.
 };
 
@@ -205,7 +168,6 @@ Result<fpm::PatternSet> RecycleTpMiner::MineCompressed(
     GOGREEN_VALIDATE_OR_DIE(check::ValidateFList(flist, min_support));
   }
   if (!flist.empty()) {
-    const SliceDb sdb = SliceDb::Build(cdb, flist);
     SliceMiningContext base(flist, min_support, &out, &stats_);
     base.BindRunContext(run_ctx_);
     RecycleTpContext ctx(&base);
@@ -217,12 +179,12 @@ Result<fpm::PatternSet> RecycleTpMiner::MineCompressed(
       c1[r] = flist.support(r);
     }
     std::vector<Rank> prefix;
-    const std::vector<WeightedSlice> root = BuildWeightedSlices(sdb);
+    const FlatSliceDb root = FlatSliceDb::Build(SliceDb::Build(cdb, flist));
 
     if ((run_ctx_ == nullptr && !fpm::ParallelMiningEnabled()) ||
         ext.size() < 2) {
       ctx.Process(root, ext, c1, &prefix);
-    } else if (!base.TrySingleGroupWeighted(root, ext, c1, &prefix)) {
+    } else if (!base.TrySingleGroup(root, ext, c1, &prefix)) {
       // Root expansion mirrors Process(): singletons, one matrix fill, then
       // the first-level children — fanned out to the pool, each only
       // reading the shared matrix and root slices. Ascending-child shard
@@ -269,9 +231,8 @@ Result<fpm::PatternSet> RecycleTpMiner::MineCompressed(
         // root slices and matrix stay live for the whole fan-out.
         const std::vector<uint64_t> level_supports(c1.begin(), c1.end() - 1);
         const ScopedBytes root_charge(
-            run_ctx_, ApproxWeightedSliceBytes(root) +
-                          ext.size() * (ext.size() - 1) / 2 *
-                              sizeof(uint64_t));
+            run_ctx_, root.OwnedBytes() + ext.size() * (ext.size() - 1) /
+                                              2 * sizeof(uint64_t));
         fpm::MineFirstLevelGoverned(pool, ext.size() - 1, mine_subtree, &out,
                                     &stats_, run_ctx_, level_supports,
                                     /*mark_frontier=*/true);

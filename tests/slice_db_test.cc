@@ -172,27 +172,34 @@ TEST(SliceDbTest, DroppedWhenNothingSurvivesEncoding) {
   EXPECT_TRUE(sdb.slices.empty());
 }
 
-TEST(SliceDbTest, DedupeWeightedOutsIsCanonicallySorted) {
-  // Regression: the merge goes through a hash map, whose iteration order is
-  // an implementation detail. The result must come back merged AND in
-  // lexicographic row order regardless of input order, or downstream
-  // consumers inherit platform-dependent (and parallel-merge-dependent)
-  // nondeterminism.
-  std::vector<std::pair<std::vector<Rank>, uint64_t>> outs = {
-      {{3, 4}, 1}, {{1, 2}, 2}, {{3, 4}, 5}, {{1}, 1}, {{1, 2}, 1},
+TEST(SliceDbTest, FlatRowsAreCanonicallySorted) {
+  // Regression: rows must come back merged AND in lexicographic row order
+  // regardless of input order, or downstream consumers inherit
+  // platform-dependent (and parallel-merge-dependent) nondeterminism.
+  // Weights are given as repeated members.
+  const auto rows_of = [](std::vector<std::vector<Rank>> outs) {
+    SliceDb sdb;
+    sdb.slices.push_back(Slice{{}, std::move(outs), 0});
+    const FlatSliceDb flat = FlatSliceDb::Build(sdb);
+    EXPECT_EQ(flat.size(), 1u);
+    std::vector<std::pair<std::vector<Rank>, uint64_t>> rows;
+    for (const RowView& row : flat.rows(flat.slices()[0])) {
+      rows.emplace_back(std::vector<Rank>(row.items.begin(), row.items.end()),
+                        row.weight);
+    }
+    return rows;
   };
-  DedupeWeightedOuts(&outs);
   const std::vector<std::pair<std::vector<Rank>, uint64_t>> expected = {
       {{1}, 1}, {{1, 2}, 3}, {{3, 4}, 6},
   };
-  EXPECT_EQ(outs, expected);
+  EXPECT_EQ(rows_of({{3, 4}, {1, 2}, {1, 2}, {3, 4}, {3, 4}, {3, 4}, {3, 4},
+                     {3, 4}, {1}, {1, 2}}),
+            expected);
 
-  // Same multiset presented in a different order dedupes to the same value.
-  std::vector<std::pair<std::vector<Rank>, uint64_t>> shuffled = {
-      {{1, 2}, 1}, {{3, 4}, 5}, {{1}, 1}, {{1, 2}, 2}, {{3, 4}, 1},
-  };
-  DedupeWeightedOuts(&shuffled);
-  EXPECT_EQ(shuffled, expected);
+  // Same multiset presented in a different order merges to the same value.
+  EXPECT_EQ(rows_of({{1, 2}, {3, 4}, {3, 4}, {3, 4}, {3, 4}, {3, 4}, {1},
+                     {1, 2}, {1, 2}, {3, 4}}),
+            expected);
 }
 
 }  // namespace

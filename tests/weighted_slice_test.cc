@@ -1,4 +1,4 @@
-// Direct tests for the weighted-slice layer (row dedup + equal-pattern
+// Direct tests for the weighted slice database (row dedup + equal-pattern
 // merging) shared by Recycle-FP and Recycle-TP.
 
 #include <gtest/gtest.h>
@@ -15,6 +15,8 @@ using fpm::FList;
 using fpm::Rank;
 using fpm::TransactionDb;
 
+std::vector<Rank> Items(RankSpan span) { return {span.begin(), span.end()}; }
+
 /// CDB of the paper example compressed at xi_old = 3.
 CompressedDb PaperCdb() {
   const TransactionDb db = testutil::PaperExampleDb();
@@ -30,26 +32,29 @@ TEST(WeightedSliceTest, BuildPreservesCounts) {
   const CompressedDb cdb = PaperCdb();
   const FList flist = FList::FromCounts(cdb.CountItemSupports(9), 2);
   const SliceDb sdb = SliceDb::Build(cdb, flist);
-  const std::vector<WeightedSlice> ws = BuildWeightedSlices(sdb);
+  const FlatSliceDb ws = FlatSliceDb::Build(sdb);
   ASSERT_EQ(ws.size(), sdb.slices.size());
   for (size_t i = 0; i < ws.size(); ++i) {
-    EXPECT_EQ(ws[i].count(), sdb.slices[i].count());
-    EXPECT_EQ(ws[i].pattern, sdb.slices[i].pattern);
+    EXPECT_EQ(ws.slices()[i].count, sdb.slices[i].count());
+    EXPECT_EQ(Items(ws.slices()[i].pattern), sdb.slices[i].pattern);
   }
 }
 
 TEST(WeightedSliceTest, DedupeMergesIdenticalRows) {
-  std::vector<std::pair<std::vector<Rank>, uint64_t>> outs;
-  outs.emplace_back(std::vector<Rank>{1, 2}, 1);
-  outs.emplace_back(std::vector<Rank>{3}, 2);
-  outs.emplace_back(std::vector<Rank>{1, 2}, 4);
-  DedupeWeightedOuts(&outs);
+  // Rows {1,2} x1, {3} x2, {1,2} x4 (weights as repeated members).
+  SliceDb sdb;
+  Slice slice;
+  slice.outs = {{1, 2}, {3}, {3}, {1, 2}, {1, 2}, {1, 2}, {1, 2}};
+  sdb.slices.push_back(slice);
+  const FlatSliceDb ws = FlatSliceDb::Build(sdb);
+  ASSERT_EQ(ws.size(), 1u);
+  const auto outs = ws.rows(ws.slices()[0]);
   ASSERT_EQ(outs.size(), 2u);
   uint64_t w12 = 0;
   uint64_t w3 = 0;
   for (const auto& [row, w] : outs) {
-    if (row == std::vector<Rank>{1, 2}) w12 = w;
-    if (row == std::vector<Rank>{3}) w3 = w;
+    if (Items(row) == std::vector<Rank>{1, 2}) w12 = w;
+    if (Items(row) == std::vector<Rank>{3}) w3 = w;
   }
   EXPECT_EQ(w12, 5u);
   EXPECT_EQ(w3, 2u);
@@ -68,15 +73,15 @@ TEST(WeightedSliceTest, IdenticalMembersCollapse) {
   const FList flist =
       FList::FromCounts(cdb->CountItemSupports(cdb->ItemUniverseSize()), 2);
   const SliceDb sdb = SliceDb::Build(*cdb, flist);
-  const std::vector<WeightedSlice> ws = BuildWeightedSlices(sdb);
+  const FlatSliceDb ws = FlatSliceDb::Build(sdb);
   ASSERT_EQ(ws.size(), 1u);
-  ASSERT_EQ(ws[0].outs.size(), 1u);
-  EXPECT_EQ(ws[0].outs[0].second, 10u);
-  EXPECT_EQ(ws[0].count(), 10u);
+  ASSERT_EQ(ws.rows(ws.slices()[0]).size(), 1u);
+  EXPECT_EQ(ws.rows(ws.slices()[0])[0].weight, 10u);
+  EXPECT_EQ(ws.slices()[0].count, 10u);
 }
 
 TEST(WeightedSliceTest, ProjectionMatchesUnweightedProjection) {
-  // Counting over ProjectWeightedSlices must equal counting over
+  // Counting over a weighted projection must equal counting over
   // ProjectSlices for every item, on randomized compressed databases.
   for (uint64_t seed : {51u, 52u, 53u}) {
     const TransactionDb db = testutil::RandomDb(seed, 250, 30, 5.0);
@@ -88,18 +93,19 @@ TEST(WeightedSliceTest, ProjectionMatchesUnweightedProjection) {
     const FList flist = FList::FromCounts(
         cdb->CountItemSupports(cdb->ItemUniverseSize()), 10);
     const SliceDb sdb = SliceDb::Build(*cdb, flist);
-    const std::vector<WeightedSlice> ws = BuildWeightedSlices(sdb);
+    const FlatSliceDb ws = FlatSliceDb::Build(sdb);
 
+    SliceProjector projector;
     fpm::PatternSet sink;
     fpm::MiningStats stats;
     SliceMiningContext ctx(flist, 10, &sink, &stats);
     for (Rank f = 0; f < std::min<size_t>(flist.size(), 8); ++f) {
       const auto plain = ProjectSlices(sdb.slices, f);
-      const auto weighted = ProjectWeightedSlices(ws, f);
+      const FlatSliceDb weighted = projector.Project(ws, f);
       std::vector<uint64_t> counts_a;
       std::vector<uint64_t> counts_b;
       const auto freq_a = ctx.CountFrequent(plain, &counts_a);
-      const auto freq_b = ctx.CountFrequentWeighted(weighted, &counts_b);
+      const auto freq_b = ctx.CountFrequent(weighted, &counts_b);
       EXPECT_EQ(freq_a, freq_b) << "seed " << seed << " f " << f;
       EXPECT_EQ(counts_a, counts_b) << "seed " << seed << " f " << f;
     }
@@ -122,7 +128,7 @@ TEST(WeightedSliceTest, EqualPatternSlicesMergeOnProjection) {
   const FList flist =
       FList::FromCounts(cdb->CountItemSupports(cdb->ItemUniverseSize()), 4);
   const SliceDb sdb = SliceDb::Build(*cdb, flist);
-  const std::vector<WeightedSlice> ws = BuildWeightedSlices(sdb);
+  const FlatSliceDb ws = FlatSliceDb::Build(sdb);
   ASSERT_EQ(ws.size(), 2u);
 
   // Items 1 and 2 have support 4 (ranks 0/1); 5 and 6 have support 8.
@@ -131,16 +137,27 @@ TEST(WeightedSliceTest, EqualPatternSlicesMergeOnProjection) {
   // {6} — they must merge.
   const Rank r5 = flist.rank(5);
   ASSERT_NE(r5, fpm::kNoRank);
-  const auto projected = ProjectWeightedSlices(ws, r5);
+  SliceProjector projector;
+  const FlatSliceDb projected = projector.Project(ws, r5);
   ASSERT_EQ(projected.size(), 1u);
-  EXPECT_EQ(projected[0].count(), 8u);
+  EXPECT_EQ(projected.slices()[0].count, 8u);
 }
 
 TEST(WeightedSliceTest, EmptyInputs) {
-  EXPECT_TRUE(ProjectWeightedSlices({}, 0).empty());
-  std::vector<std::pair<std::vector<Rank>, uint64_t>> outs;
-  DedupeWeightedOuts(&outs);
-  EXPECT_TRUE(outs.empty());
+  const FlatSliceDb empty = FlatSliceDb::Build(SliceDb{});
+  SliceProjector projector;
+  EXPECT_TRUE(projector.Project(empty, 0).empty());
+  EXPECT_TRUE(projector.ProjectFiltered(empty, 0, {1, 2}).empty());
+  // A slice with no rows keeps no rows.
+  SliceDb no_rows;
+  Slice slice;
+  slice.pattern = {0, 1};
+  slice.empty_count = 3;
+  no_rows.slices.push_back(slice);
+  const FlatSliceDb ws = FlatSliceDb::Build(no_rows);
+  ASSERT_EQ(ws.size(), 1u);
+  EXPECT_TRUE(ws.rows(ws.slices()[0]).empty());
+  EXPECT_EQ(ws.slices()[0].count, 3u);
 }
 
 }  // namespace

@@ -44,6 +44,12 @@ cannot express:
                       serve::MiningService is the one recycling session,
                       fpm::MineResult the one result shape, and the
                       constraint framework lives in fpm/constraints.h.
+                      Nor may the per-row-vector weighted slices
+                      (WeightedSlice, BuildWeightedSlices,
+                      DedupeWeightedOuts, ProjectWeightedSlices,
+                      CountFrequentWeighted, TrySingleGroupWeighted):
+                      core::FlatSliceDb is the one weighted slice
+                      representation.
   orphan-mutex        Every gogreen::Mutex / SharedMutex member must be
                       named by at least one GUARDED_BY / PT_GUARDED_BY in
                       the same file — a mutex that guards nothing is either
@@ -110,7 +116,9 @@ ENV_ACCESS_RE = re.compile(r"\b(?:std::)?(?:getenv|secure_getenv|setenv|"
                            r"putenv|unsetenv)\s*\(")
 DEPRECATED_API_RE = re.compile(
     r"\b(?:MineGoverned|MineCompressedGoverned|SetRunContext|"
-    r"RecyclingSession|RecyclerOptions|MiningPath\w*|MineOutcome)\b")
+    r"RecyclingSession|RecyclerOptions|MiningPath\w*|MineOutcome|"
+    r"WeightedSlice|BuildWeightedSlices|DedupeWeightedOuts|"
+    r"ProjectWeightedSlices|CountFrequentWeighted|TrySingleGroupWeighted)\b")
 # Matched with string literals kept (the header name is one).
 DEPRECATED_INCLUDE_RE = re.compile(
     r'#\s*include\s*"core/(?:recycler|constraints)\.h"')
@@ -341,7 +349,7 @@ def run_checks(files, registry_text, design_text=""):
             path, raw_text, "deprecated-api", DEPRECATED_API_RE,
             "deleted API name (use the unified fpm::MineRequest entry "
             "point and serve::MiningService; context-binding helpers are "
-            "spelled BindRunContext)")
+            "spelled BindRunContext; weighted slices are core::FlatSliceDb)")
         violations += scan_pattern(
             path, raw_text, "deprecated-api", DEPRECATED_INCLUDE_RE,
             "deleted header (use serve/mining_service.h or "
@@ -445,6 +453,21 @@ def self_test():
          "serve::MiningService service(db, id);\n", False),
         ("deprecated-api", "src/a.cc",
          "fpm::MineResult result = Finish();\n", False),
+        ("deprecated-api", "src/a.cc",
+         "std::vector<WeightedSlice> root = BuildWeightedSlices(sdb);\n",
+         True),
+        ("deprecated-api", "src/a.cc",
+         "DedupeWeightedOuts(&next.outs);\n", True),
+        ("deprecated-api", "src/a.cc",
+         "auto child = ProjectWeightedSlices(slices, f);\n", True),
+        ("deprecated-api", "src/a.cc",
+         "ctx.CountFrequentWeighted(slices, &counts);\n", True),
+        ("deprecated-api", "bench/a.cc",
+         "ctx.TrySingleGroupWeighted(slices, ext, c1, &prefix);\n", True),
+        ("deprecated-api", "src/a.cc",
+         "const FlatSliceDb child = projector.Project(root, f);\n", False),
+        ("deprecated-api", "src/a.cc",
+         "ctx.TrySingleGroup(slices, frequent, counts, &prefix);\n", False),
         ("raw-mutex", "src/a.cc", "std::mutex mu_;\n", True),
         ("raw-mutex", "src/a.cc", "std::scoped_lock lock(mu_);\n", True),
         ("raw-mutex", "src/a.cc",
